@@ -20,13 +20,21 @@ from .incident import (
     grad_plane_pair,
     grad_point_pair,
 )
-from .kernels import GreenKernel, eval_G, farfield_kernel, farfield_kernel_grad_y, grad_G_y
+from .kernels import (
+    GreenKernel,
+    eval_G,
+    farfield_kernel,
+    farfield_kernel_grad_y,
+    farfield_matrix,
+    grad_G_y,
+)
 from .solver import (
     DirectionGrid,
     FarFieldPattern,
     LayerDensity,
     SolveReport,
     eval_farfield,
+    eval_farfields,
     eval_scattered,
     solve_scattered,
 )
@@ -49,12 +57,14 @@ __all__ = [
     "SurfaceProfile",
     "build_profile",
     "eval_farfield",
+    "eval_farfields",
     "eval_G",
     "eval_plane_pair",
     "eval_point_pair",
     "eval_scattered",
     "farfield_kernel",
     "farfield_kernel_grad_y",
+    "farfield_matrix",
     "grad_G_y",
     "grad_plane_pair",
     "grad_point_pair",

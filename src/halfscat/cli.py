@@ -18,7 +18,7 @@ from .errors import SceneConfigError
 from .geometry import export_mesh_csv
 from .inverse import export_indicator_csv, export_inversion_trace_csv
 from .scene import build_scene, load_config
-from .solver import eval_farfield, export_density_csv, export_farfield_csv, solve_scattered
+from .solver import eval_farfields, export_density_csv, export_farfield_csv, solve_scattered
 from .suites import (
     DEFAULT_TOLERANCES,
     run_convergence,
@@ -124,6 +124,8 @@ def main(argv=None) -> int:
             "mesh_h": scene.mesh.h,
             "incidents": len(scene.incidents),
             "farfield_directions": scene.grid.size,
+            # complex n x n collocation matrix plus its LU factors, in MiB
+            "dense_system_mb": round(32 * scene.mesh.n_panels**2 / 2**20, 1),
             "threads": args.threads,
             "tolerance_scale": args.tolerance_scale,
             "out_dir": str(out_dir),
@@ -220,10 +222,11 @@ def _dispatch(subcommand: str, scene, tol, threads: int, out_dir: Path) -> bool:
 
 def _run_forward(scene, out_dir: Path) -> bool:
     export_mesh_csv(scene.mesh, out_dir / "mesh.csv", scene_hash=scene.scene_hash)
+    solves = [solve_scattered(scene.mesh, inc) for inc in scene.incidents]
+    patterns = eval_farfields([density for density, _ in solves], scene.mesh, scene.grid,
+                              scene.scene_hash)
     report_payload = []
-    for i, inc in enumerate(scene.incidents):
-        density, report = solve_scattered(scene.mesh, inc)
-        pattern = eval_farfield(density, scene.mesh, scene.grid, scene.scene_hash)
+    for i, ((density, report), pattern) in enumerate(zip(solves, patterns)):
         export_farfield_csv(pattern, out_dir / f"farfield_{i:03d}.csv")
         export_density_csv(density, out_dir / f"density_{i:03d}.csv",
                            scene_hash=scene.scene_hash)

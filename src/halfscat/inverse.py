@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InverseCrimeError, ProximityError
 from .geometry import SurfaceProfile, build_profile, mesh_perturbation
 from .incident import IncidentWave, PointSource
-from .solver import DirectionGrid, eval_farfield, eval_scattered, solve_scattered
+from .solver import DirectionGrid, eval_farfield, eval_farfields, eval_scattered, solve_scattered
 
 PL_GRID_SIZE = 7  # node grid for the piecewise-linear parametrization
 # free nodes: the plus-stencil around the center of the 7x7 grid
@@ -181,11 +181,8 @@ def forward_map(
     """Stacked far-field data vector over the incidents (complex, length
     len(incidents) * grid.size), on a fresh mesh of the parametrized profile."""
     mesh = mesh_perturbation(params.to_profile(), target_h)
-    blocks = []
-    for inc in incidents:
-        density, _ = solve_scattered(mesh, inc)
-        blocks.append(eval_farfield(density, mesh, grid).values)
-    return np.concatenate(blocks)
+    densities = [solve_scattered(mesh, inc)[0] for inc in incidents]
+    return np.concatenate([p.values for p in eval_farfields(densities, mesh, grid)])
 
 
 def _objective(resid: np.ndarray, theta: np.ndarray, theta_ref: np.ndarray, alpha: float):

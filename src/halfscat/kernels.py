@@ -95,3 +95,36 @@ def farfield_kernel_grad_y(kern: GreenKernel, xhat: np.ndarray, y: np.ndarray) -
     ph_img = np.exp(-1j * k * np.sum(xhat * (y * _MIRROR), axis=-1))
     coef = -1j * k / (4.0 * np.pi)
     return coef * (ph[..., None] * xhat + s * ph_img[..., None] * (xhat * _MIRROR))
+
+
+def farfield_matrix(
+    kern: GreenKernel,
+    xhat: np.ndarray,
+    y: np.ndarray,
+    weights: np.ndarray,
+    normals: np.ndarray | None = None,
+    eta: float = 0.0,
+) -> np.ndarray:
+    """Far-field operator from source points y (n, 3) to directions xhat (N, 3),
+    with the quadrature weights (n,) folded into the columns.
+
+    Without normals the entries are farfield_kernel(xhat_i, y_j) * w_j (single
+    layer); with normals they are the combined layer
+    (nu_j . farfield_kernel_grad_y - i eta farfield_kernel)(xhat_i, y_j) * w_j.
+    Since xhat.y' = (M xhat).y, the phases and the normal contractions are
+    GEMMs, and each entry costs two complex exponentials."""
+    xhat = np.asarray(xhat, dtype=float)
+    y = np.asarray(y, dtype=float)
+    s = kern.bc.image_sign
+    k = kern.k
+    xhat_img = xhat * _MIRROR
+    ph = np.exp(-1j * k * (xhat @ y.T))
+    ph_img = np.exp(-1j * k * (xhat_img @ y.T))
+    if normals is not None:
+        nu_t = np.asarray(normals, dtype=float).T
+        ph *= -1j * (k * (xhat @ nu_t) + eta)
+        ph_img *= -1j * (k * (xhat_img @ nu_t) + eta)
+    ph_img *= s
+    ph += ph_img
+    ph *= np.asarray(weights, dtype=float) / (4.0 * np.pi)
+    return ph

@@ -31,7 +31,7 @@ from .incident import (
     eval_pair,
     grad_pair,
 )
-from .kernels import GreenKernel, farfield_kernel, farfield_kernel_grad_y
+from .kernels import GreenKernel, farfield_matrix
 
 _MIRROR = np.array([1.0, 1.0, -1.0])
 
@@ -490,6 +490,51 @@ def eval_scattered(
     return out[0] if single else out
 
 
+def eval_farfields(
+    densities: list[LayerDensity],
+    mesh: PanelMesh,
+    grid: DirectionGrid,
+    scene_hash: str = "",
+) -> list[FarFieldPattern]:
+    """Far-field patterns of several densities on one mesh and grid.
+
+    The far-field operator depends only on the mesh, k, the formulation and
+    the grid, so it is built once, _ROW_BLOCK directions at a time, and each
+    block is applied to all densities in one product."""
+    if not densities:
+        raise ValueError("eval_farfields needs at least one density")
+    for density in densities:
+        _check_density_matches(density, mesh)
+    first = densities[0]
+    if any(
+        (d.k, d.formulation, d.eta) != (first.k, first.formulation, first.eta)
+        for d in densities
+    ):
+        raise ValueError("densities must share k, formulation and eta")
+    kern = GreenKernel(k=first.k, bc=first.bc)
+    normals = mesh.normals if first.formulation == "dirichlet_combined" else None
+    sigma = np.column_stack([d.coefficients for d in densities])
+    dirs = grid.directions
+    values = np.empty((len(densities), grid.size), dtype=complex)
+    for lo in range(0, grid.size, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, grid.size)
+        F = farfield_matrix(kern, dirs[lo:hi], mesh.centroids, mesh.areas, normals, first.eta)
+        values[:, lo:hi] = (F @ sigma).T
+    values.setflags(write=False)
+    return [
+        FarFieldPattern(
+            grid=grid,
+            values=row,
+            k=first.k,
+            bc=first.bc,
+            mesh_h=mesh.h,
+            mesh_hash=mesh.content_hash,
+            scene_hash=scene_hash,
+        )
+        for row in values
+    ]
+
+
 def eval_farfield(
     density: LayerDensity,
     mesh: PanelMesh,
@@ -497,26 +542,7 @@ def eval_farfield(
     scene_hash: str = "",
 ) -> FarFieldPattern:
     """Far-field pattern of the representation on a hemisphere grid."""
-    _check_density_matches(density, mesh)
-    kern = GreenKernel(k=density.k, bc=density.bc)
-    dirs = grid.directions[:, None, :]
-    y = mesh.centroids[None, :, :]
-    if density.formulation == "dirichlet_combined":
-        ff = np.sum(farfield_kernel_grad_y(kern, dirs, y) * mesh.normals[None, :, :], axis=-1)
-        ff = ff - 1j * density.eta * farfield_kernel(kern, dirs, y)
-    else:
-        ff = farfield_kernel(kern, dirs, y)
-    values = (ff * mesh.areas) @ density.coefficients
-    values.setflags(write=False)
-    return FarFieldPattern(
-        grid=grid,
-        values=values,
-        k=density.k,
-        bc=density.bc,
-        mesh_h=mesh.h,
-        mesh_hash=mesh.content_hash,
-        scene_hash=scene_hash,
-    )
+    return eval_farfields([density], mesh, grid, scene_hash)[0]
 
 
 def export_farfield_csv(pattern: FarFieldPattern, path) -> None:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import fd_gradient, helmholtz_rel_residual
 from halfscat.errors import SingularityError
+from halfscat.geometry import build_profile, mesh_perturbation
 from halfscat.identities import fit_loglog_slope, radiation_residuals
 from halfscat.incident import BoundaryCondition
 from halfscat.kernels import (
@@ -10,9 +11,11 @@ from halfscat.kernels import (
     eval_G,
     farfield_kernel,
     farfield_kernel_grad_y,
+    farfield_matrix,
     grad_G_x,
     grad_G_y,
 )
+from halfscat.solver import _ROW_BLOCK, DirectionGrid, LayerDensity, eval_farfields
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -165,6 +168,85 @@ class TestFarFieldKernel:
         lim = r * np.exp(-1j * kern.k * r) * (grad_G_y(kern, r * xhat, y) @ nu)
         ff = farfield_kernel_grad_y(kern, xhat, y) @ nu
         assert abs(lim - ff) / abs(ff) <= 1e-3
+
+
+def _pointwise_farfield_matrix(kern, xhat, y, weights, normals=None, eta=0.0):
+    """Reference for farfield_matrix from the pointwise far-field kernels."""
+    xh = xhat[:, None, :]
+    yy = y[None, :, :]
+    vals = farfield_kernel(kern, xh, yy)
+    if normals is not None:
+        grad = farfield_kernel_grad_y(kern, xh, yy)
+        vals = np.sum(grad * normals[None, :, :], axis=-1) - 1j * eta * vals
+    return vals * weights
+
+
+def _rel_max(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestFarFieldMatrix:
+    grid = DirectionGrid.make(40, 20)  # more directions than one row block
+
+    @pytest.fixture(scope="class")
+    def sources(self):
+        rng = np.random.default_rng(24)
+        y = rng.uniform(-1.0, 1.0, size=(60, 3))
+        y[:, 2] = rng.uniform(0.0, 0.5, size=60)
+        nu = rng.normal(size=(60, 3))
+        nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+        return y, nu, rng.uniform(0.01, 0.02, size=60)
+
+    @pytest.mark.parametrize("bc", [D, N])
+    @pytest.mark.parametrize("combined", [False, True])
+    def test_matches_pointwise_kernels(self, sources, bc, combined):
+        y, nu, w = sources
+        kern = GreenKernel(k=2.0, bc=bc)
+        normals = nu if combined else None
+        assert self.grid.size > _ROW_BLOCK
+        F = farfield_matrix(kern, self.grid.directions, y, w, normals, eta=2.0)
+        ref = _pointwise_farfield_matrix(kern, self.grid.directions, y, w, normals, eta=2.0)
+        assert F.shape == (self.grid.size, y.shape[0])
+        assert _rel_max(F, ref) <= 1e-13
+
+    def test_image_sign_for_sources_on_plane(self):
+        # y = y' on the plane: the odd image cancels the direct term, the even
+        # image doubles it
+        xhat = self.grid.directions
+        y = np.array([[0.4, -0.3, 0.0], [-0.2, 0.1, 0.0]])
+        w = np.array([0.5, 2.0])
+        direct = np.exp(-2.0j * (xhat @ y.T)) * w / (4 * np.pi)
+        F_d = farfield_matrix(GreenKernel(k=2.0, bc=D), xhat, y, w)
+        F_n = farfield_matrix(GreenKernel(k=2.0, bc=N), xhat, y, w)
+        assert np.max(np.abs(F_d)) == 0.0
+        assert _rel_max(F_n, 2.0 * direct) <= 1e-14
+
+    @pytest.mark.parametrize("bc", [D, N])
+    def test_blocked_patterns_match_pointwise_sum(self, bc):
+        mesh = mesh_perturbation(
+            build_profile({"kind": "gaussian_bump", "R": 1.0, "amplitude": 0.3, "width": 0.25}),
+            0.25,
+        )
+        rng = np.random.default_rng(25)
+        formulation = "dirichlet_combined" if bc is D else "neumann_single"
+        eta = 2.0 if bc is D else 0.0
+        densities = [
+            LayerDensity(
+                coefficients=rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels),
+                formulation=formulation,
+                eta=eta,
+                k=2.0,
+            )
+            for _ in range(3)
+        ]
+        normals = mesh.normals if bc is D else None
+        ref = _pointwise_farfield_matrix(
+            GreenKernel(k=2.0, bc=bc), self.grid.directions, mesh.centroids, mesh.areas,
+            normals, eta,
+        )
+        for pattern, density in zip(eval_farfields(densities, mesh, self.grid), densities):
+            assert _rel_max(pattern.values, ref @ density.coefficients) <= 1e-13
+            assert pattern.values.flags.c_contiguous and not pattern.values.flags.writeable
 
 
 def test_kernel_requires_positive_wavenumber():

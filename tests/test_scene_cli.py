@@ -1,13 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
+import halfscat.solver as solver_mod
 from conftest import canonical_config
 from halfscat.cli import main
 from halfscat.errors import SceneConfigError
 from halfscat.incident import PlaneWave, PointSource
+from halfscat.kernels import farfield_matrix
 from halfscat.scene import build_scene, load_config, validate_config
+from halfscat.solver import eval_farfield, solve_scattered
 
 
 class TestConfigValidation:
@@ -109,6 +113,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "dry run" in out and "scene_hash" in out
+        panels = build_scene(load_config(flat_config)).mesh.n_panels
+        assert f"dense_system_mb: {round(32 * panels**2 / 2**20, 1)}" in out
         assert not (tmp_path / "o").exists()
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
@@ -168,7 +174,7 @@ class TestCli:
         assert code == 2
         assert "same mesh discretization" in capsys.readouterr().err
 
-    def test_forward_multiple_incidents(self, tmp_path, capsys):
+    def test_forward_multiple_incidents(self, tmp_path, capsys, monkeypatch):
         cfg = canonical_config(mesh={"target_h": 0.18})
         cfg["incidents"] = [
             {"type": "plane", "phi": 0.0, "theta": 0.0},
@@ -176,10 +182,25 @@ class TestCli:
         ]
         del cfg["incident"]
         path = write_config(tmp_path, cfg)
+        built_rows = []
+
+        def counting_farfield_matrix(kern, xhat, *args, **kwargs):
+            built_rows.append(len(xhat))
+            return farfield_matrix(kern, xhat, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "farfield_matrix", counting_farfield_matrix)
         assert main(["forward", "--config", path, "--out", str(tmp_path / "multi")]) == 0
-        for i in (0, 1):
-            assert (tmp_path / "multi" / f"farfield_{i:03d}.csv").exists()
+        scene = build_scene(validate_config(cfg))
+        # one operator for both incidents: every direction's row built once
+        assert built_rows == [scene.grid.size]
+        for i, inc in enumerate(scene.incidents):
             assert (tmp_path / "multi" / f"density_{i:03d}.csv").exists()
+            lines = (tmp_path / "multi" / f"farfield_{i:03d}.csv").read_text().splitlines()
+            rows = np.array([line.split(",") for line in lines[2:]], dtype=float)
+            density, _ = solve_scattered(scene.mesh, inc)
+            expect = eval_farfield(density, scene.mesh, scene.grid).values
+            got = rows[:, 2] + 1j * rows[:, 3]
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_indicator_config_overrides(self, tmp_path, capsys):
         cfg = canonical_config(mesh={"target_h": 0.1})

@@ -12,6 +12,7 @@ from halfscat.solver import (
     DirectionGrid,
     LayerDensity,
     eval_farfield,
+    eval_farfields,
     eval_scattered,
     export_farfield_csv,
     get_factorization,
@@ -188,6 +189,20 @@ class TestFarField:
         assert f1.read_bytes() == f2.read_bytes()
         header = f1.read_text().splitlines()[0]
         assert "k=2" in header and "bc=dirichlet" in header and "scene=beef07" in header
+
+    def test_batch_input_validation(self, small_bump_mesh, flat_mesh):
+        grid = DirectionGrid.make(4, 3)
+        with pytest.raises(ValueError, match="at least one density"):
+            eval_farfields([], small_bump_mesh, grid)
+        dens_d, _ = solve_scattered(small_bump_mesh, PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D))
+        with pytest.raises(ValueError, match="panels"):
+            eval_farfields([dens_d], flat_mesh, grid)
+        dens_n, _ = solve_scattered(small_bump_mesh, PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=N))
+        with pytest.raises(ValueError, match="share k, formulation"):
+            eval_farfields([dens_d, dens_n], small_bump_mesh, grid)
+        dens_k, _ = solve_scattered(small_bump_mesh, PlaneWave(phi=0.0, theta=0.0, k=2.5, bc=D))
+        with pytest.raises(ValueError, match="share k, formulation"):
+            eval_farfields([dens_d, dens_k], small_bump_mesh, grid)
 
 
 class TestDirectionGrid:
