@@ -50,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scene config file (YAML)")
         p.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV})")
-        p.add_argument("--threads", type=int, default=1, help="worker-thread cap (default 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; every solve runs in one thread")
         p.add_argument("--dry-run", action="store_true", help="validate and print the plan only")
         p.add_argument(
             "--tolerance-scale",
@@ -138,7 +139,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        ok = _dispatch(args.subcommand, scene, tol, args.threads, out_dir)
+        ok = _dispatch(args.subcommand, scene, tol, out_dir)
     except SceneConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
@@ -150,11 +151,11 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
-def _dispatch(subcommand: str, scene, tol, threads: int, out_dir: Path) -> bool:
+def _dispatch(subcommand: str, scene, tol, out_dir: Path) -> bool:
     if subcommand == "forward":
         return _run_forward(scene, out_dir)
     if subcommand == "identities":
-        results, reports = run_identities(scene, tol, threads)
+        results, reports = run_identities(scene, tol)
         _write_jsonl(out_dir / "identities.jsonl", [r.to_json_line() for r in reports])
         return _print_results(results)
     if subcommand == "maxwell":
@@ -181,7 +182,7 @@ def _dispatch(subcommand: str, scene, tol, threads: int, out_dir: Path) -> bool:
         )
         return _print_results(results)
     if subcommand == "indicator":
-        results, descend, offline = run_indicator(scene, tol, threads)
+        results, descend, offline = run_indicator(scene, tol)
         export_indicator_csv(descend, out_dir / "indicator_descend.csv",
                              scene_hash=scene.scene_hash)
         export_indicator_csv(offline, out_dir / "indicator_offline.csv",

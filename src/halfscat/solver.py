@@ -13,7 +13,6 @@ singular point.
 from __future__ import annotations
 
 import csv
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -295,14 +294,13 @@ class _Factorization:
     assembly_time_s: float
 
 
-_CACHE_LOCK = threading.Lock()
+# not locked: the package starts no threads, so one thread uses the cache
 _FACTOR_CACHE: OrderedDict[tuple, _Factorization] = OrderedDict()
 _FACTOR_CACHE_SIZE = 6
 
 
 def clear_factorization_cache() -> None:
-    with _CACHE_LOCK:
-        _FACTOR_CACHE.clear()
+    _FACTOR_CACHE.clear()
 
 
 def _formulation_for(bc: BoundaryCondition) -> str:
@@ -363,11 +361,10 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
     for this mesh/wavenumber/boundary condition."""
     eta = k if bc is BoundaryCondition.DIRICHLET else 0.0
     key = (mesh.content_hash, float(k), bc.value)
-    with _CACHE_LOCK:
-        fact = _FACTOR_CACHE.get(key)
-        if fact is not None:
-            _FACTOR_CACHE.move_to_end(key)
-            return fact
+    fact = _FACTOR_CACHE.get(key)
+    if fact is not None:
+        _FACTOR_CACHE.move_to_end(key)
+        return fact
 
     t0 = time.perf_counter()
     A = _assemble_matrix(mesh, k, bc, eta)
@@ -393,11 +390,10 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
             f"condition estimate {cond:.2e} exceeds {CONDITION_LIMIT:.0e} for the "
             "combined-field system"
         )
-    with _CACHE_LOCK:
-        _FACTOR_CACHE[key] = fact
-        _FACTOR_CACHE.move_to_end(key)
-        while len(_FACTOR_CACHE) > _FACTOR_CACHE_SIZE:
-            _FACTOR_CACHE.popitem(last=False)
+    _FACTOR_CACHE[key] = fact
+    _FACTOR_CACHE.move_to_end(key)
+    while len(_FACTOR_CACHE) > _FACTOR_CACHE_SIZE:
+        _FACTOR_CACHE.popitem(last=False)
     return fact
 
 

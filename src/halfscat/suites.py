@@ -1,15 +1,15 @@
 """Check-suite runners behind the command-line verbs.
 
 Every suite is deterministic for a fixed scene hash: sample points come from
-the scene seed, solves share cached factorizations, and results are collected
-in a fixed order regardless of the worker-thread count.  Tolerances live in
-one table; a scale factor loosens every bound coherently (upper bounds and
-window half-widths multiply, lower-bound ratios divide).
+the scene seed, solves share cached factorizations, and every solve runs in
+turn in the calling thread.  Tolerances live in one table; a scale factor
+loosens every bound coherently (upper bounds and window half-widths multiply,
+lower-bound ratios divide, window centres stay).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,7 +44,12 @@ from .maxwell import (
     pec_residual,
 )
 from .solver import get_factorization, solve_scattered, eval_farfield
-from .util import parallel_map
+
+
+# How ``SuiteTolerances.scaled`` treats a field, read from its metadata; a
+# field without the key is an upper bound or a window half-width.
+_LOWER_BOUND = {"scale": "divide"}
+_UNSCALED = {"scale": "keep"}
 
 
 @dataclass(frozen=True)
@@ -53,14 +58,14 @@ class SuiteTolerances:
     point_symmetry: float = 2e-2
     reflected_farfield: float = 1e-12
     extension: float = 1e-12
-    decay_slope_center: float = -2.0
+    decay_slope_center: float = field(default=-2.0, metadata=_UNSCALED)
     decay_slope_halfwidth: float = 0.2
     pec: float = 1e-12
     reflection: float = 1e-12
     maxwell_fd: float = 1e-5
     sm_slope_margin: float = 0.2  # residual slope <= -1 + margin
     sm_E_halfwidth: float = 0.2  # |E| slope within -1 +/- halfwidth
-    indicator_ratio: float = 10.0  # lower bound, divided by the scale factor
+    indicator_ratio: float = field(default=10.0, metadata=_LOWER_BOUND)
     offline_ratio: float = 2.0
     invert_param_rel: float = 0.05
     convergence: float = 5e-2
@@ -69,24 +74,15 @@ class SuiteTolerances:
     def scaled(self, factor: float) -> "SuiteTolerances":
         if factor == 1.0:
             return self
-        return replace(
-            self,
-            mixed_reciprocity=self.mixed_reciprocity * factor,
-            point_symmetry=self.point_symmetry * factor,
-            reflected_farfield=self.reflected_farfield * factor,
-            extension=self.extension * factor,
-            decay_slope_halfwidth=self.decay_slope_halfwidth * factor,
-            pec=self.pec * factor,
-            reflection=self.reflection * factor,
-            maxwell_fd=self.maxwell_fd * factor,
-            sm_slope_margin=self.sm_slope_margin * factor,
-            sm_E_halfwidth=self.sm_E_halfwidth * factor,
-            indicator_ratio=self.indicator_ratio / factor,
-            offline_ratio=self.offline_ratio * factor,
-            invert_param_rel=self.invert_param_rel * factor,
-            convergence=self.convergence * factor,
-            flat_null=self.flat_null * factor,
-        )
+        changes = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            rule = f.metadata.get("scale", "multiply")
+            if rule == "multiply":
+                changes[f.name] = value * factor
+            elif rule == "divide":
+                changes[f.name] = value / factor
+        return replace(self, **changes)
 
 
 DEFAULT_TOLERANCES = SuiteTolerances()
@@ -109,24 +105,12 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.value:.6g} ({self.requirement})"
 
 
-@dataclass(frozen=True)
-class _SceneView:
-    """Scene duck with a replaced mesh (used for the refined-mesh checks)."""
-
-    profile: object
-    mesh: object
-    k: float
-    bc: BoundaryCondition
-    metadata: dict
-
-
 def refine_scene(scene, factor: float = 0.5):
+    """The scene on a mesh of ``factor`` times its target panel size.  Only the
+    mesh changes: ``config`` still describes the original scene, so the scene
+    hash is kept and ``metadata`` reports the new mesh."""
     target = scene.config.mesh["target_h"] * factor
-    mesh = mesh_perturbation(scene.profile, target)
-    meta = dict(scene.metadata)
-    meta["mesh_h"] = mesh.h
-    meta["mesh_hash"] = mesh.content_hash
-    return _SceneView(profile=scene.profile, mesh=mesh, k=scene.k, bc=scene.bc, metadata=meta)
+    return replace(scene, mesh=mesh_perturbation(scene.profile, target))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +184,7 @@ def extension_samples(scene, n: int = 50):
 # ---------------------------------------------------------------------------
 # suites
 
-def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES, threads: int = 1,
+def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES,
                    with_refinement: bool = True):
     """Full identity suite on one scene; returns CheckResults plus the raw
     reports (identity JSON-line records and slope reports)."""
@@ -209,7 +193,7 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES, threads: in
     reports: list[IdentityReport | SlopeReport] = []
 
     pairs = mixed_reciprocity_pairs(scene)
-    mixed = parallel_map(lambda dz: check_mixed_reciprocity(scene, dz[0], dz[1]), pairs, threads)
+    mixed = [check_mixed_reciprocity(scene, d, z) for d, z in pairs]
     for i, rep in enumerate(mixed):
         reports.append(rep)
         results.append(
@@ -236,9 +220,7 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES, threads: in
             )
         )
 
-    sym = parallel_map(
-        lambda xy: check_point_symmetry(scene, xy[0], xy[1]), symmetry_pairs(scene), threads
-    )
+    sym = [check_point_symmetry(scene, x, y) for x, y in symmetry_pairs(scene)]
     for i, rep in enumerate(sym):
         reports.append(rep)
         results.append(
@@ -403,7 +385,7 @@ def run_maxwell(k: float, dipole_y, dipole_p, seed: int = 0,
     return results
 
 
-def run_indicator(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES, threads: int = 1):
+def run_indicator(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     """Blow-up indicator on a descending line over the apex and a reference
     line far from the perturbation."""
     n = scene.config.indicator["n_samples"]
@@ -415,9 +397,8 @@ def run_indicator(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES, threads: int
 
     descend = np.column_stack([np.zeros(n), np.zeros(n), z3])
     offline = np.column_stack([np.full(n, far), np.zeros(n), z3])
-    ind_d, ind_o = parallel_map(
-        lambda pts: blow_up_indicator(scene, pts), [descend, offline], threads
-    )
+    ind_d = blow_up_indicator(scene, descend)
+    ind_o = blow_up_indicator(scene, offline)
 
     results = []
     tail = ind_d.values[-5:]

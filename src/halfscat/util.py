@@ -1,10 +1,9 @@
-"""Small shared helpers: canonical hashing, deterministic parallel maps."""
+"""Small shared helpers: canonical JSON and content hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 
 def canonical_json(obj) -> str:
@@ -27,13 +26,3 @@ def _jsonable(x):
 
 def content_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Order-preserving map; results are identical for any thread count
-    because tasks are independent and collected by position."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

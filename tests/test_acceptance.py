@@ -179,7 +179,7 @@ def test_criterion_11_self_convergence(canonical_dirichlet):
     )
 
 
-def test_criterion_12_determinism(tmp_path, flat_scene):
+def test_criterion_12_determinism(tmp_path):
     cfg = canonical_config(mesh={"target_h": 0.125})
     path = tmp_path / "scene.yaml"
     path.write_text(yaml.safe_dump(cfg))
@@ -189,11 +189,15 @@ def test_criterion_12_determinism(tmp_path, flat_scene):
         tmp_path / "r2" / "farfield_000.csv"
     ).read_bytes()
 
-    serial = run_identities(flat_scene, threads=1, with_refinement=False)
-    threaded = run_identities(flat_scene, threads=3, with_refinement=False)
-    same_threads = [r.to_json_line() for r in serial[1]] == [
-        r.to_json_line() for r in threaded[1]
-    ]
+    flat = tmp_path / "flat.yaml"
+    flat.write_text(yaml.safe_dump(canonical_config(profile={"kind": "zero", "R": 1.0},
+                                                    mesh={"target_h": 0.18})))
+    for threads in ("1", "3"):
+        assert main(["identities", "--config", str(flat), "--out", str(tmp_path / f"t{threads}"),
+                     "--threads", threads]) == 0
+    same_threads = (tmp_path / "t1" / "identities.jsonl").read_bytes() == (
+        tmp_path / "t3" / "identities.jsonl"
+    ).read_bytes()
     passed = same_csv and same_threads
     _verdict(
         12,

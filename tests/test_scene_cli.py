@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from halfscat.incident import PlaneWave, PointSource
 from halfscat.kernels import farfield_matrix
 from halfscat.scene import build_scene, load_config, validate_config
 from halfscat.solver import eval_farfield, solve_scattered
+from halfscat.suites import DEFAULT_TOLERANCES, refine_scene
 
 
 class TestConfigValidation:
@@ -153,6 +156,15 @@ class TestCli:
         b1 = (tmp_path / "t1" / "identities.jsonl").read_bytes()
         assert b1 == (tmp_path / "t2" / "identities.jsonl").read_bytes()
 
+    def test_threads_flag_starts_no_thread(self, flat_config, tmp_path, capsys, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(["identities", "--config", flat_config, "--out", str(tmp_path / "o"),
+                     "--threads", "3"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_tolerance_scale_loosens_indicator(self, tmp_path, capsys):
         # at target_h = 0.1 the blow-up ratio is ~8.2: below the default 10,
         # inside the bound once the tolerances are scaled by 1.3
@@ -256,3 +268,35 @@ class TestCli:
     def test_bad_flags(self, flat_config, capsys):
         assert main(["maxwell", "--config", flat_config, "--threads", "0"]) == 2
         assert main(["maxwell", "--config", flat_config, "--tolerance-scale", "0"]) == 2
+
+
+class TestSuiteHelpers:
+    def test_tolerances_scaled_field_by_field(self):
+        expected = {
+            "mixed_reciprocity": 4e-2,
+            "point_symmetry": 4e-2,
+            "reflected_farfield": 2e-12,
+            "extension": 2e-12,
+            "decay_slope_center": -2.0,
+            "decay_slope_halfwidth": 0.4,
+            "pec": 2e-12,
+            "reflection": 2e-12,
+            "maxwell_fd": 2e-5,
+            "sm_slope_margin": 0.4,
+            "sm_E_halfwidth": 0.4,
+            "indicator_ratio": 5.0,
+            "offline_ratio": 4.0,
+            "invert_param_rel": 0.1,
+            "convergence": 0.1,
+            "flat_null": 2e-12,
+        }
+        assert dataclasses.asdict(DEFAULT_TOLERANCES.scaled(2.0)) == expected
+        assert DEFAULT_TOLERANCES.scaled(1.0) is DEFAULT_TOLERANCES
+
+    def test_refined_scene_metadata(self, flat_scene):
+        fine = refine_scene(flat_scene)
+        expected = dict(flat_scene.metadata)
+        expected["mesh_h"] = fine.mesh.h
+        expected["mesh_hash"] = fine.mesh.content_hash
+        assert list(fine.metadata.items()) == list(expected.items())
+        assert fine.mesh.h < flat_scene.mesh.h
