@@ -11,7 +11,6 @@ from .geometry import (
     mirror,
 )
 from .incident import (
-    BoundaryCondition,
     IncidentWave,
     PlaneWave,
     PointSource,
@@ -21,11 +20,13 @@ from .incident import (
     grad_point_pair,
 )
 from .kernels import (
+    BoundaryCondition,
     GreenKernel,
     eval_G,
     farfield_kernel,
     farfield_kernel_grad_y,
     farfield_matrix,
+    grad_G_x,
     grad_G_y,
 )
 from .solver import (
@@ -65,6 +66,7 @@ __all__ = [
     "farfield_kernel",
     "farfield_kernel_grad_y",
     "farfield_matrix",
+    "grad_G_x",
     "grad_G_y",
     "grad_plane_pair",
     "grad_point_pair",

@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import DippingProfileError, SceneConfigError
 
-_MIRROR = np.array([1.0, 1.0, -1.0])
-
 PROFILE_KINDS = ("zero", "gaussian_bump", "piecewise_linear")
 
 

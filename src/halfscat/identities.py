@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .incident import BoundaryCondition, PlaneWave, PointSource, fundamental_solution
+from .incident import PlaneWave, PointSource
+from .kernels import MIRROR, BoundaryCondition, GreenKernel, eval_G
 from .solver import (
     DirectionGrid,
     LayerDensity,
@@ -127,11 +128,11 @@ def check_reflected_farfield(
     z = np.asarray(z, dtype=float)
     d = np.asarray(d, dtype=float)
     s = bc.image_sign
-    z_img = z * np.array([1.0, 1.0, -1.0])
+    z_img = z * MIRROR
     # far-field coefficient of s*Phi(x, z') observed at direction -d
     lhs = 4 * np.pi * s * np.exp(-1j * k * np.dot(-d, z_img)) / (4 * np.pi)
     # reflected plane wave evaluated at the source position
-    d_spec = d * np.array([1.0, 1.0, -1.0])
+    d_spec = d * MIRROR
     rhs = s * np.exp(1j * k * np.dot(d_spec, z))
     return _report("reflected_farfield", lhs, rhs, scene_meta)
 
@@ -149,7 +150,7 @@ def check_extension(
     residual over all samples."""
     samples = np.asarray(samples, dtype=float).reshape(-1, 3)
     up = eval_scattered(density, mesh, None, samples)
-    down = eval_scattered(density, mesh, None, samples * np.array([1.0, 1.0, -1.0]))
+    down = eval_scattered(density, mesh, None, samples * MIRROR)
     expected = -up if bc is BoundaryCondition.DIRICHLET else up
     resid = np.abs(down - expected)
     worst = int(np.argmax(resid))
@@ -219,15 +220,9 @@ def check_kernel_radiation_decay(
     k: float, bc: BoundaryCondition, y: np.ndarray, xhat: np.ndarray, n_radii: int = 12
 ) -> SlopeReport:
     """Same decay fit for the bare image kernel with a fixed source point."""
-    y = np.asarray(y, dtype=float)
-    s = bc.image_sign
-    y_img = y * np.array([1.0, 1.0, -1.0])
-
-    def field(pts):
-        return fundamental_solution(pts, y, k) + s * fundamental_solution(pts, y_img, k)
-
+    kern = GreenKernel(k=k, bc=bc)
     radii = np.geomspace(10.0, 100.0, n_radii)
-    resid = radiation_residuals(field, k, xhat, radii)
+    resid = radiation_residuals(lambda pts: eval_G(kern, pts, y), k, xhat, radii)
     return SlopeReport(
         name="kernel_radiation_decay",
         slope=fit_loglog_slope(radii, resid),

@@ -9,39 +9,12 @@ trailing-axis-3 point arrays, and carry analytic gradients.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularityError
-
-SINGULARITY_GUARD = 1e-12
-
-
-class BoundaryCondition(enum.Enum):
-    DIRICHLET = "dirichlet"
-    NEUMANN = "neumann"
-
-    @property
-    def image_sign(self) -> float:
-        """Sign of the image/reflected term: -1 sound-soft, +1 sound-hard."""
-        return -1.0 if self is BoundaryCondition.DIRICHLET else 1.0
-
-
-def fundamental_solution(x: np.ndarray, y: np.ndarray, k: float) -> np.ndarray:
-    """Outgoing free-space kernel e^{ik|x-y|} / (4 pi |x-y|)."""
-    r = np.linalg.norm(np.asarray(x, float) - np.asarray(y, float), axis=-1)
-    return np.exp(1j * k * r) / (4.0 * np.pi * r)
-
-
-def grad_x_fundamental(x: np.ndarray, y: np.ndarray, k: float) -> np.ndarray:
-    """Gradient of the free-space kernel in its first argument."""
-    diff = np.asarray(x, float) - np.asarray(y, float)
-    r = np.linalg.norm(diff, axis=-1)
-    phi = np.exp(1j * k * r) / (4.0 * np.pi * r)
-    return ((1j * k - 1.0 / r) * phi / r)[..., None] * diff
+from .kernels import BoundaryCondition, GreenKernel, eval_G, grad_G_x
 
 
 @dataclass(frozen=True)
@@ -96,10 +69,6 @@ class PointSource:
         if not z[2] > 0:
             raise ValueError(f"point source must lie above the ground plane, got z3={z[2]!r}")
 
-    @property
-    def z_image(self) -> np.ndarray:
-        return self.z * np.array([1.0, 1.0, -1.0])
-
 
 IncidentWave = PlaneWave | PointSource
 
@@ -123,28 +92,14 @@ def grad_plane_pair(w: PlaneWave, x: np.ndarray) -> np.ndarray:
     return inc[..., None] * w.d + ref[..., None] * w.d_spec
 
 
-def _guard_point(x: np.ndarray, w: PointSource) -> None:
-    x = np.asarray(x, dtype=float)
-    if np.min(np.linalg.norm(x - w.z, axis=-1)) < SINGULARITY_GUARD:
-        raise SingularityError(f"evaluation point coincides with the source at z={w.z.tolist()}")
-    if np.min(np.linalg.norm(x - w.z_image, axis=-1)) < SINGULARITY_GUARD:
-        raise SingularityError(
-            f"evaluation point coincides with the image source at z'={w.z_image.tolist()}"
-        )
-
-
 def eval_point_pair(w: PointSource, x: np.ndarray) -> np.ndarray:
-    """Point source plus image source: Phi(x,z) -/+ Phi(x,z')."""
-    _guard_point(x, w)
-    s = w.bc.image_sign
-    return fundamental_solution(x, w.z, w.k) + s * fundamental_solution(x, w.z_image, w.k)
+    """Point source plus image source: the image kernel G(x, z) = Phi(x,z) -/+ Phi(x,z')."""
+    return eval_G(GreenKernel(k=w.k, bc=w.bc), x, w.z)
 
 
 def grad_point_pair(w: PointSource, x: np.ndarray) -> np.ndarray:
     """Analytic x-gradient of the point-source pair."""
-    _guard_point(x, w)
-    s = w.bc.image_sign
-    return grad_x_fundamental(x, w.z, w.k) + s * grad_x_fundamental(x, w.z_image, w.k)
+    return grad_G_x(GreenKernel(k=w.k, bc=w.bc), x, w.z)
 
 
 def eval_pair(w: IncidentWave, x: np.ndarray) -> np.ndarray:

@@ -6,23 +6,33 @@ vanishing normal derivative (sound-hard) whenever either argument lies on
 the plane.  It is defined for all x away from {y, y'}, including below the
 plane, which is what lets the reflection-extension checks evaluate layer
 potentials there directly.
+
+This module is the one implementation of that kernel: the guarded pointwise
+evaluators, the unguarded integrands that assembly and the representation
+formula run, and the far-field limits all build on ``free_space``.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularityError
-from .incident import (
-    SINGULARITY_GUARD,
-    BoundaryCondition,
-    fundamental_solution,
-    grad_x_fundamental,
-)
 
-_MIRROR = np.array([1.0, 1.0, -1.0])
+MIRROR = np.array([1.0, 1.0, -1.0])  # y' = y * MIRROR, the mirror in x3 = 0
+SINGULARITY_GUARD = 1e-12
+
+
+class BoundaryCondition(enum.Enum):
+    DIRICHLET = "dirichlet"
+    NEUMANN = "neumann"
+
+    @property
+    def image_sign(self) -> float:
+        """Sign of the image/reflected term: -1 sound-soft, +1 sound-hard."""
+        return -1.0 if self is BoundaryCondition.DIRICHLET else 1.0
 
 
 @dataclass(frozen=True)
@@ -35,42 +45,87 @@ class GreenKernel:
             raise ValueError(f"wavenumber must be finite and > 0, got {self.k!r}")
 
 
-def _guard(x: np.ndarray, y: np.ndarray, y_img: np.ndarray) -> None:
-    if np.min(np.linalg.norm(x - y, axis=-1)) < SINGULARITY_GUARD:
+def free_space(r, k: float):
+    """Outgoing free-space kernel Phi = e^{ikr} / (4 pi r) at distance r, and
+    its radial factor c = Phi'(r) / r, so that grad_x Phi(x, y) = c (x - y)."""
+    phi = np.exp(1j * k * r) / (4.0 * np.pi * r)
+    return phi, (1j * k - 1.0 / r) * phi / r
+
+
+def _displacements(x, y):
+    """x - y and x - y' with their lengths."""
+    dx = x - y
+    dxi = x - y * MIRROR
+    return dx, dxi, np.sqrt(np.sum(dx * dx, axis=-1)), np.sqrt(np.sum(dxi * dxi, axis=-1))
+
+
+def _checked_pair(x, y, k: float):
+    """Displacements to y and y' with (Phi, c) of each; raises when x meets
+    either point."""
+    dx, dxi, r, r_img = _displacements(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if np.min(r) < SINGULARITY_GUARD:
         raise SingularityError("evaluation point coincides with the source point y")
-    if np.min(np.linalg.norm(x - y_img, axis=-1)) < SINGULARITY_GUARD:
+    if np.min(r_img) < SINGULARITY_GUARD:
         raise SingularityError("evaluation point coincides with the image source y'")
+    return dx, dxi, free_space(r, k), free_space(r_img, k)
+
+
+def _unchecked_pair(x, y, k: float):
+    """As _checked_pair for (..., 3) arrays, without the guard: coincident
+    pairs yield finite garbage that the caller must overwrite."""
+    dx, dxi, r, r_img = _displacements(x, y)
+    np.maximum(r, 1e-30, out=r)
+    np.maximum(r_img, 1e-30, out=r_img)
+    return dx, dxi, free_space(r, k), free_space(r_img, k)
 
 
 def eval_G(kern: GreenKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """G(x, y) = Phi(x,y) -/+ Phi(x,y'); broadcasts over (..., 3) inputs."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    y_img = y * _MIRROR
-    _guard(x, y, y_img)
-    s = kern.bc.image_sign
-    return fundamental_solution(x, y, kern.k) + s * fundamental_solution(x, y_img, kern.k)
+    _, _, (phi, _), (phi_img, _) = _checked_pair(x, y, kern.k)
+    return phi + kern.bc.image_sign * phi_img
 
 
 def grad_G_y(kern: GreenKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of G in the source argument (double-layer kernel before the
     normal contraction)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    y_img = y * _MIRROR
-    _guard(x, y, y_img)
-    s = kern.bc.image_sign
-    return -grad_x_fundamental(x, y, kern.k) - s * grad_x_fundamental(x, y_img, kern.k) * _MIRROR
+    dx, dxi, (_, c), (_, c_img) = _checked_pair(x, y, kern.k)
+    return -(c[..., None] * dx) - kern.bc.image_sign * (c_img[..., None] * dxi) * MIRROR
 
 
 def grad_G_x(kern: GreenKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of G in the evaluation argument (adjoint double-layer kernel)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    y_img = y * _MIRROR
-    _guard(x, y, y_img)
-    s = kern.bc.image_sign
-    return grad_x_fundamental(x, y, kern.k) + s * grad_x_fundamental(x, y_img, kern.k)
+    dx, dxi, (_, c), (_, c_img) = _checked_pair(x, y, kern.k)
+    return c[..., None] * dx + kern.bc.image_sign * (c_img[..., None] * dxi)
+
+
+# Unguarded integrands for collocation points x and source points y, as
+# broadcasting (..., 3) arrays.  They contract the normals into the radial
+# factors, so no complex (..., 3) gradient is formed.
+
+def collocation_dirichlet(x, nu_x, y, nu_y, k, eta):
+    """Combined-kernel collocation integrand [nu_y . grad_y G - i eta G] of
+    the odd kernel."""
+    dx, dxi, (phi, c), (phi_img, c_img) = _unchecked_pair(x, y, k)
+    # grad_y G = -grad_x Phi(x,y) + M grad_x Phi(x,y') for the odd kernel
+    dl = -c * np.sum(dx * nu_y, axis=-1) + c_img * np.sum(dxi * (nu_y * MIRROR), axis=-1)
+    return dl - 1j * eta * (phi - phi_img)
+
+
+def collocation_neumann(x, nu_x, y, nu_y, k, eta):
+    """Adjoint-double-layer integrand nu_x . grad_x G of the even kernel."""
+    dx, dxi, (_, c), (_, c_img) = _unchecked_pair(x, y, k)
+    return c * np.sum(dx * nu_x, axis=-1) + c_img * np.sum(dxi * nu_x, axis=-1)
+
+
+def representation_dirichlet(x, y, nu_y, k, eta):
+    """Potential integrand of the combined ansatz at off-surface points."""
+    return collocation_dirichlet(x, None, y, nu_y, k, eta)
+
+
+def representation_neumann(x, y, nu_y, k, eta):
+    """Potential integrand of the single-layer ansatz: the even kernel G."""
+    _, _, (phi, _), (phi_img, _) = _unchecked_pair(x, y, k)
+    return phi + phi_img
 
 
 def farfield_kernel(kern: GreenKernel, xhat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -81,7 +136,7 @@ def farfield_kernel(kern: GreenKernel, xhat: np.ndarray, y: np.ndarray) -> np.nd
     s = kern.bc.image_sign
     k = kern.k
     ph = np.exp(-1j * k * np.sum(xhat * y, axis=-1))
-    ph_img = np.exp(-1j * k * np.sum(xhat * (y * _MIRROR), axis=-1))
+    ph_img = np.exp(-1j * k * np.sum(xhat * (y * MIRROR), axis=-1))
     return (ph + s * ph_img) / (4.0 * np.pi)
 
 
@@ -92,9 +147,9 @@ def farfield_kernel_grad_y(kern: GreenKernel, xhat: np.ndarray, y: np.ndarray) -
     s = kern.bc.image_sign
     k = kern.k
     ph = np.exp(-1j * k * np.sum(xhat * y, axis=-1))
-    ph_img = np.exp(-1j * k * np.sum(xhat * (y * _MIRROR), axis=-1))
+    ph_img = np.exp(-1j * k * np.sum(xhat * (y * MIRROR), axis=-1))
     coef = -1j * k / (4.0 * np.pi)
-    return coef * (ph[..., None] * xhat + s * ph_img[..., None] * (xhat * _MIRROR))
+    return coef * (ph[..., None] * xhat + s * ph_img[..., None] * (xhat * MIRROR))
 
 
 def farfield_matrix(
@@ -117,7 +172,7 @@ def farfield_matrix(
     y = np.asarray(y, dtype=float)
     s = kern.bc.image_sign
     k = kern.k
-    xhat_img = xhat * _MIRROR
+    xhat_img = xhat * MIRROR
     ph = np.exp(-1j * k * (xhat @ y.T))
     ph_img = np.exp(-1j * k * (xhat_img @ y.T))
     if normals is not None:

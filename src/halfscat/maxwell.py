@@ -16,8 +16,7 @@ import numpy as np
 from .errors import SingularityError
 from .geometry import Plane, mirror, reflect_linear
 from .identities import fit_loglog_slope
-
-SINGULARITY_GUARD = 1e-12
+from .kernels import SINGULARITY_GUARD
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ import yaml
 
 from .errors import SceneConfigError
 from .geometry import PanelMesh, SurfaceProfile, build_profile, mesh_perturbation
-from .incident import BoundaryCondition, IncidentWave, PlaneWave, PointSource
+from .incident import IncidentWave, PlaneWave, PointSource
+from .kernels import BoundaryCondition
 from .solver import DirectionGrid
 from .util import content_hash
 
@@ -319,7 +320,3 @@ def build_scene(cfg: SceneConfig) -> Scene:
         grid=grid,
         seed=cfg.seed,
     )
-
-
-def load_scene(path) -> Scene:
-    return build_scene(load_config(path))

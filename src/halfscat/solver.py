@@ -22,17 +22,17 @@ import scipy.linalg
 
 from .errors import ProximityError, ResonanceError, SolveError
 from .geometry import PanelMesh
-from .incident import (
+from .incident import IncidentWave, PlaneWave, PointSource, eval_pair, grad_pair
+from .kernels import (
+    MIRROR,
     BoundaryCondition,
-    IncidentWave,
-    PlaneWave,
-    PointSource,
-    eval_pair,
-    grad_pair,
+    GreenKernel,
+    collocation_dirichlet,
+    collocation_neumann,
+    farfield_matrix,
+    representation_dirichlet,
+    representation_neumann,
 )
-from .kernels import GreenKernel, farfield_matrix
-
-_MIRROR = np.array([1.0, 1.0, -1.0])
 
 SOLVE_RESIDUAL_RTOL = 1e-10
 CONDITION_LIMIT = 1e8
@@ -99,7 +99,10 @@ class DirectionGrid:
     @classmethod
     def single(cls, direction) -> "DirectionGrid":
         d = np.asarray(direction, dtype=float).reshape(3)
-        d = d / np.linalg.norm(d)
+        norm = np.linalg.norm(d)
+        if not (np.isfinite(norm) and norm > 0):
+            raise ValueError(f"far-field direction must be nonzero and finite, got {d.tolist()}")
+        d = d / norm
         if d[2] <= 0:
             raise ValueError("far-field directions must lie in the upper hemisphere")
         theta = np.array([np.arctan2(d[1], d[0]) % (2 * np.pi)])
@@ -128,63 +131,14 @@ class FarFieldPattern:
         return self.grid.directions
 
 
-# ---------------------------------------------------------------------------
-# pairwise kernels (unguarded, for assembly; r == 0 entries are overwritten)
-
-def _pair_terms(dx: np.ndarray, k: float):
-    """Phi and the radial factor c(r) with c*dx = grad_x Phi, for displacement
-    arrays dx of shape (..., 3).  Zero-distance entries yield garbage that the
-    caller must overwrite."""
-    r = np.sqrt(np.sum(dx * dx, axis=-1))
-    np.maximum(r, 1e-30, out=r)  # coincident pairs are overwritten by the caller
-    phi = np.exp(1j * k * r) / (4.0 * np.pi * r)
-    c = (1j * k - 1.0 / r) * phi / r
-    return phi, c
-
-
-def _entries_dirichlet(x, nu_x, y, nu_y, k, eta):
-    """Combined-kernel collocation integrand [nu_y . grad_y G - i eta G]."""
-    dx = x - y
-    dxi = x - y * _MIRROR
-    phi1, c1 = _pair_terms(dx, k)
-    phi2, c2 = _pair_terms(dxi, k)
-    # grad_y G = -grad_x Phi(x,y) + M grad_x Phi(x,y') for the odd kernel
-    dl = -c1 * np.sum(dx * nu_y, axis=-1) + c2 * np.sum(dxi * (nu_y * _MIRROR), axis=-1)
-    sl = phi1 - phi2
-    return dl - 1j * eta * sl
-
-
-def _entries_neumann(x, nu_x, y, nu_y, k, eta):
-    """Adjoint-double-layer integrand nu_x . grad_x G_N for the even kernel."""
-    dx = x - y
-    dxi = x - y * _MIRROR
-    _, c1 = _pair_terms(dx, k)
-    _, c2 = _pair_terms(dxi, k)
-    return c1 * np.sum(dx * nu_x, axis=-1) + c2 * np.sum(dxi * nu_x, axis=-1)
-
-
 _ENTRY_FUNCS = {
-    "dirichlet_combined": _entries_dirichlet,
-    "neumann_single": _entries_neumann,
+    "dirichlet_combined": collocation_dirichlet,
+    "neumann_single": collocation_neumann,
 }
 
-
-def _representation_dirichlet(x, y, nu_y, k, eta):
-    """Potential integrand of the combined ansatz at off-surface points."""
-    return _entries_dirichlet(x, None, y, nu_y, k, eta)
-
-
-def _representation_neumann(x, y, nu_y, k, eta):
-    dx = x - y
-    dxi = x - y * _MIRROR
-    phi1, _ = _pair_terms(dx, k)
-    phi2, _ = _pair_terms(dxi, k)
-    return phi1 + phi2
-
-
 _REPR_FUNCS = {
-    "dirichlet_combined": _representation_dirichlet,
-    "neumann_single": _representation_neumann,
+    "dirichlet_combined": representation_dirichlet,
+    "neumann_single": representation_neumann,
 }
 
 
@@ -454,7 +408,7 @@ def _check_density_matches(density: LayerDensity, mesh: PanelMesh) -> None:
 
 def _check_eval_distance(mesh: PanelMesh, pts: np.ndarray) -> None:
     d_direct = np.linalg.norm(pts[:, None, :] - mesh.centroids[None, :, :], axis=-1)
-    d_image = np.linalg.norm(pts[:, None, :] - (mesh.centroids * _MIRROR)[None, :, :], axis=-1)
+    d_image = np.linalg.norm(pts[:, None, :] - (mesh.centroids * MIRROR)[None, :, :], axis=-1)
     dist = min(d_direct.min(), d_image.min())
     if dist < 2.0 * mesh.h:
         raise ProximityError(

@@ -25,7 +25,6 @@ from .identities import (
     check_radiation_decay,
     check_reflected_farfield,
 )
-from .incident import BoundaryCondition
 from .inverse import (
     InversionConfig,
     ProfileParams,
@@ -33,6 +32,7 @@ from .inverse import (
     forward_map,
     invert_profile,
 )
+from .kernels import BoundaryCondition
 from .maxwell import (
     DipoleSource,
     check_reflection_principle,

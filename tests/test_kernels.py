@@ -5,8 +5,8 @@ from conftest import fd_gradient, helmholtz_rel_residual
 from halfscat.errors import SingularityError
 from halfscat.geometry import build_profile, mesh_perturbation
 from halfscat.identities import fit_loglog_slope, radiation_residuals
-from halfscat.incident import BoundaryCondition
 from halfscat.kernels import (
+    BoundaryCondition,
     GreenKernel,
     eval_G,
     farfield_kernel,
@@ -15,7 +15,15 @@ from halfscat.kernels import (
     grad_G_x,
     grad_G_y,
 )
-from halfscat.solver import _ROW_BLOCK, DirectionGrid, LayerDensity, eval_farfields
+from halfscat.solver import (
+    _ROW_BLOCK,
+    DirectionGrid,
+    LayerDensity,
+    _assemble_matrix,
+    _vertex_adjacency,
+    eval_farfields,
+    eval_scattered,
+)
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -247,6 +255,61 @@ class TestFarFieldMatrix:
         for pattern, density in zip(eval_farfields(densities, mesh, self.grid), densities):
             assert _rel_max(pattern.values, ref @ density.coefficients) <= 1e-13
             assert pattern.values.flags.c_contiguous and not pattern.values.flags.writeable
+
+
+@pytest.fixture(scope="module")
+def small_bump_mesh():
+    prof = build_profile({"kind": "gaussian_bump", "R": 1.0, "amplitude": 0.3, "width": 0.25})
+    return mesh_perturbation(prof, 0.125)
+
+
+def _public_integrand(kern, x, y, nu_y, eta):
+    """Combined (sound-soft) or single-layer (sound-hard) potential kernel
+    from the guarded public evaluators."""
+    if kern.bc is D:
+        return np.sum(grad_G_y(kern, x, y) * nu_y, axis=-1) - 1j * eta * eval_G(kern, x, y)
+    return eval_G(kern, x, y)
+
+
+class TestHotPath:
+    """What assembly and the representation formula run, against the public
+    kernels."""
+
+    @pytest.mark.parametrize("bc", [D, N])
+    def test_far_matrix_entries(self, small_bump_mesh, bc):
+        mesh = small_bump_mesh
+        eta = 2.0 if bc is D else 0.0
+        A = _assemble_matrix(mesh, 2.0, bc, eta)
+        far = np.ones(A.shape, dtype=bool)
+        far[tuple(np.array(_vertex_adjacency(mesh)).T)] = False
+        i, j = np.nonzero(far)
+        kern = GreenKernel(k=2.0, bc=bc)
+        x, y = mesh.centroids[i], mesh.centroids[j]
+        if bc is D:
+            ref = _public_integrand(kern, x, y, mesh.normals[j], eta)
+        else:
+            ref = np.sum(mesh.normals[i] * grad_G_x(kern, x, y), axis=-1)
+        assert _rel_max(A[i, j], ref * mesh.areas[j]) <= 1e-13
+
+    @pytest.mark.parametrize("bc", [D, N])
+    def test_representation(self, small_bump_mesh, bc):
+        mesh = small_bump_mesh
+        rng = np.random.default_rng(26)
+        eta = 2.0 if bc is D else 0.0
+        density = LayerDensity(
+            coefficients=rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels),
+            formulation="dirichlet_combined" if bc is D else "neumann_single",
+            eta=eta,
+            k=2.0,
+        )
+        # above the plane, and one point below it
+        pts = np.array([[0.3, -0.2, 1.5], [1.5, 0.4, 0.8], [-0.6, 0.9, -1.2]])
+        kern = GreenKernel(k=2.0, bc=bc)
+        vals = _public_integrand(
+            kern, pts[:, None, :], mesh.centroids[None, :, :], mesh.normals[None, :, :], eta
+        )
+        ref = (vals * mesh.areas) @ density.coefficients
+        assert _rel_max(eval_scattered(density, mesh, None, pts), ref) <= 1e-13
 
 
 def test_kernel_requires_positive_wavenumber():

@@ -3,7 +3,7 @@ import pytest
 
 from halfscat.errors import SingularityError
 from halfscat.geometry import GROUND_PLANE, Plane, mirror
-from halfscat.incident import grad_x_fundamental
+from halfscat.kernels import free_space
 from halfscat.maxwell import (
     DipoleSource,
     check_reflection_principle,
@@ -71,7 +71,8 @@ class TestDipoleFields:
         # H must equal grad Phi x p with the analytic kernel gradient
         rng = np.random.default_rng(43)
         for x in _sample_points(rng, 5, [SRC.y]):
-            expected = np.cross(grad_x_fundamental(x, SRC.y, SRC.k), SRC.p)
+            _, c = free_space(np.linalg.norm(x - SRC.y), SRC.k)
+            expected = np.cross(c * (x - SRC.y), SRC.p)
             assert np.allclose(eval_dipole(SRC, x).H, expected, rtol=1e-13)
 
     def test_far_zone_inverse_distance_decay(self):

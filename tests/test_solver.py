@@ -217,6 +217,9 @@ class TestDirectionGrid:
     def test_single_direction_validation(self):
         with pytest.raises(ValueError):
             DirectionGrid.single(np.array([0.0, 0.0, -1.0]))
+        for bad in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="nonzero and finite"):
+                DirectionGrid.single(np.array(bad))
         g = DirectionGrid.single(np.array([0.0, 0.0, 2.0]))
         assert np.allclose(g.directions[0], [0.0, 0.0, 1.0])
 
