@@ -123,6 +123,8 @@ def main(argv=None) -> int:
             "bc": scene.bc.value,
             "mesh_panels": scene.mesh.n_panels,
             "mesh_h": scene.mesh.h,
+            # max slope of the height function, the paper's Lipschitz constant
+            "lipschitz_constant": scene.profile.max_slope,
             "incidents": len(scene.incidents),
             "farfield_directions": scene.grid.size,
             # complex n x n collocation matrix plus its LU factors, in MiB

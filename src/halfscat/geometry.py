@@ -8,14 +8,15 @@ half-space kernels satisfy the boundary condition on the flat part exactly.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DippingProfileError, SceneConfigError
+from .util import scene_comment, write_table
 
 PROFILE_KINDS = ("zero", "gaussian_bump", "piecewise_linear")
 
@@ -24,6 +25,10 @@ def _reject_unknown(leftover: dict, where: str) -> None:
     if leftover:
         key = sorted(leftover)[0]
         raise SceneConfigError(f"{where}.{key}", "unknown key")
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _hash_arrays(*arrays, tag: str = "") -> str:
@@ -145,7 +150,7 @@ def build_profile(spec: dict) -> SurfaceProfile:
     if kind not in PROFILE_KINDS:
         raise SceneConfigError("profile.kind", f"expected one of {PROFILE_KINDS}, got {kind!r}")
     R = spec.pop("R", None)
-    if R is None or not np.isfinite(R) or R <= 0:
+    if not _finite_number(R) or R <= 0:
         raise SceneConfigError("profile.R", f"support radius must be finite and > 0, got {R!r}")
     R = float(R)
     allow_dip = bool(spec.pop("allow_dip", False))
@@ -158,9 +163,9 @@ def build_profile(spec: dict) -> SurfaceProfile:
         a = spec.pop("amplitude", None)
         sigma = spec.pop("width", None)
         _reject_unknown(spec, "profile")
-        if a is None or not np.isfinite(a):
+        if not _finite_number(a):
             raise SceneConfigError("profile.amplitude", f"finite amplitude required, got {a!r}")
-        if sigma is None or not np.isfinite(sigma) or sigma <= 0:
+        if not _finite_number(sigma) or sigma <= 0:
             raise SceneConfigError("profile.width", f"width must be finite and > 0, got {sigma!r}")
         if a < 0 and not allow_dip:
             raise DippingProfileError(
@@ -185,8 +190,8 @@ def build_profile(spec: dict) -> SurfaceProfile:
         raise SceneConfigError(
             "profile.heights", f"square node grid of size >= 3 required, got shape {heights.shape}"
         )
-    if np.isnan(heights).any():
-        raise SceneConfigError("profile.heights", "NaN height")
+    if not np.isfinite(heights).all():
+        raise SceneConfigError("profile.heights", "NaN or infinite height")
     m = heights.shape[0]
     boundary = np.concatenate([heights[0], heights[-1], heights[:, 0], heights[:, -1]])
     if np.any(boundary != 0.0):
@@ -384,21 +389,15 @@ def reflect_linear(v: np.ndarray, plane: Plane) -> np.ndarray:
 
 def export_mesh_csv(mesh: PanelMesh, path, scene_hash: str | None = None) -> None:
     """Panel table: panel_id, v1x..v3z, cx, cy, cz, area, nx, ny, nz."""
-    cols = (
+    header = (
         ["panel_id"]
         + [f"v{i}{c}" for i in (1, 2, 3) for c in "xyz"]
         + ["cx", "cy", "cz", "area", "nx", "ny", "nz"]
     )
-    pv = mesh.panel_vertices()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if scene_hash is not None:
-            fh.write(f"# scene={scene_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(mesh.n_panels):
-            row = [i]
-            row += [f"{v:.17g}" for v in pv[i].ravel()]
-            row += [f"{v:.17g}" for v in mesh.centroids[i]]
-            row += [f"{mesh.areas[i]:.17g}"]
-            row += [f"{v:.17g}" for v in mesh.normals[i]]
-            writer.writerow(row)
+    pv = mesh.panel_vertices().reshape(mesh.n_panels, 9)
+    write_table(
+        path,
+        scene_comment(scene_hash),
+        header,
+        [np.arange(mesh.n_panels), *pv.T, *mesh.centroids.T, mesh.areas, *mesh.normals.T],
+    )

@@ -66,6 +66,8 @@ class PointSource:
         object.__setattr__(self, "z", z)
         if not (self.k > 0 and np.isfinite(self.k)):
             raise ValueError(f"wavenumber must be finite and > 0, got {self.k!r}")
+        if not np.all(np.isfinite(z)):
+            raise ValueError(f"point source must have finite coordinates, got {z.tolist()}")
         if not z[2] > 0:
             raise ValueError(f"point source must lie above the ground plane, got z3={z[2]!r}")
 

@@ -10,7 +10,6 @@ inversion uses; the grid-hash guard makes that inverse-crime check mandatory.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import InverseCrimeError, ProximityError
 from .geometry import SurfaceProfile, build_profile, mesh_perturbation
 from .incident import IncidentWave, PointSource
 from .solver import DirectionGrid, eval_farfield, eval_farfields, eval_scattered, solve_scattered
+from .util import scene_comment, write_table
 
 PL_GRID_SIZE = 7  # node grid for the piecewise-linear parametrization
 # free nodes: the plus-stencil around the center of the 7x7 grid
@@ -307,22 +307,16 @@ def residual_separation(
 
 
 def export_indicator_csv(indicator: IndicatorMap, path, scene_hash: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if scene_hash is not None:
-            fh.write(f"# scene={scene_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "I"])
-        for pt, v in zip(indicator.points, indicator.values):
-            writer.writerow([f"{pt[0]:.17g}", f"{pt[1]:.17g}", f"{pt[2]:.17g}", f"{v:.17g}"])
+    write_table(path, scene_comment(scene_hash), ["x", "y", "z", "I"],
+                [*indicator.points.T, indicator.values])
 
 
 def export_inversion_trace_csv(report: InversionReport, path,
                                scene_hash: str | None = None) -> None:
-    n_par = report.params_trace.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if scene_hash is not None:
-            fh.write(f"# scene={scene_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "objective"] + [f"p{i}" for i in range(n_par)])
-        for it, (obj, params) in enumerate(zip(report.objective_trace, report.params_trace)):
-            writer.writerow([it, f"{obj:.17g}"] + [f"{p:.17g}" for p in params])
+    params = report.params_trace
+    write_table(
+        path,
+        scene_comment(scene_hash),
+        ["iter", "objective"] + [f"p{i}" for i in range(params.shape[1])],
+        [np.arange(len(report.objective_trace)), report.objective_trace, *params.T],
+    )

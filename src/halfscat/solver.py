@@ -12,7 +12,6 @@ singular point.
 
 from __future__ import annotations
 
-import csv
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .kernels import (
     representation_dirichlet,
     representation_neumann,
 )
+from .util import scene_comment, write_table
 
 SOLVE_RESIDUAL_RTOL = 1e-10
 CONDITION_LIMIT = 1e8
@@ -42,11 +42,11 @@ _ROW_BLOCK = 256
 
 @dataclass(frozen=True)
 class LayerDensity:
-    """Complex panel coefficients of the boundary ansatz."""
+    """Complex panel coefficients of the boundary ansatz; the boundary
+    condition fixes the formulation and its coupling ``eta``."""
 
     coefficients: np.ndarray
-    formulation: str  # dirichlet_combined | neumann_single
-    eta: float
+    bc: BoundaryCondition
     k: float
 
     def __post_init__(self):
@@ -57,10 +57,8 @@ class LayerDensity:
         object.__setattr__(self, "coefficients", coeff)
 
     @property
-    def bc(self) -> BoundaryCondition:
-        if self.formulation == "dirichlet_combined":
-            return BoundaryCondition.DIRICHLET
-        return BoundaryCondition.NEUMANN
+    def eta(self) -> float:
+        return _coupling(self.k, self.bc)
 
 
 @dataclass(frozen=True)
@@ -131,14 +129,20 @@ class FarFieldPattern:
         return self.grid.directions
 
 
+def _coupling(k: float, bc: BoundaryCondition) -> float:
+    """eta of the ansatz: k for the sound-soft combined field, 0 for the
+    sound-hard single layer."""
+    return k if bc is BoundaryCondition.DIRICHLET else 0.0
+
+
 _ENTRY_FUNCS = {
-    "dirichlet_combined": collocation_dirichlet,
-    "neumann_single": collocation_neumann,
+    BoundaryCondition.DIRICHLET: collocation_dirichlet,
+    BoundaryCondition.NEUMANN: collocation_neumann,
 }
 
 _REPR_FUNCS = {
-    "dirichlet_combined": representation_dirichlet,
-    "neumann_single": representation_neumann,
+    BoundaryCondition.DIRICHLET: representation_dirichlet,
+    BoundaryCondition.NEUMANN: representation_neumann,
 }
 
 
@@ -243,8 +247,6 @@ class _Factorization:
     lu: np.ndarray
     piv: np.ndarray
     cond_estimate: float
-    eta: float
-    formulation: str
     assembly_time_s: float
 
 
@@ -257,16 +259,12 @@ def clear_factorization_cache() -> None:
     _FACTOR_CACHE.clear()
 
 
-def _formulation_for(bc: BoundaryCondition) -> str:
-    return "dirichlet_combined" if bc is BoundaryCondition.DIRICHLET else "neumann_single"
-
-
 def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition, eta: float) -> np.ndarray:
     n = mesh.n_panels
     cents = mesh.centroids
     normals = mesh.normals
     areas = mesh.areas
-    entry = _ENTRY_FUNCS[_formulation_for(bc)]
+    entry = _ENTRY_FUNCS[bc]
 
     A = np.empty((n, n), dtype=complex)
     for lo in range(0, n, _ROW_BLOCK):
@@ -299,21 +297,18 @@ def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition, eta: floa
 
 
 def _condition_estimate(A: np.ndarray, lu: np.ndarray) -> float:
-    try:
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (A,))
-        anorm = np.linalg.norm(A, 1)
-        rcond, info = gecon(lu, anorm, norm="1")
-        if info == 0 and rcond > 0:
-            return float(1.0 / rcond)
-    except Exception:
-        pass
-    return float(np.linalg.cond(A, 1))
+    """LAPACK gecon 1-norm estimate from the LU factors; inf for an exactly
+    singular matrix, so the resonance check rejects it."""
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (A,))
+    rcond, info = gecon(lu, np.linalg.norm(A, 1), norm="1")
+    if info != 0:
+        raise SolveError(f"LAPACK gecon failed with info={info}")
+    return float(1.0 / rcond) if rcond > 0 else np.inf
 
 
 def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Factorization:
     """Assemble and factorize (or fetch from the cache) the collocation system
     for this mesh/wavenumber/boundary condition."""
-    eta = k if bc is BoundaryCondition.DIRICHLET else 0.0
     key = (mesh.content_hash, float(k), bc.value)
     fact = _FACTOR_CACHE.get(key)
     if fact is not None:
@@ -321,7 +316,7 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
         return fact
 
     t0 = time.perf_counter()
-    A = _assemble_matrix(mesh, k, bc, eta)
+    A = _assemble_matrix(mesh, k, bc, _coupling(k, bc))
     lu, piv = scipy.linalg.lu_factor(A)
     cond = _condition_estimate(A, lu)
     fact = _Factorization(
@@ -329,8 +324,6 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
         lu=lu,
         piv=piv,
         cond_estimate=cond,
-        eta=eta,
-        formulation=_formulation_for(bc),
         assembly_time_s=time.perf_counter() - t0,
     )
     if cond > CONDITION_LIMIT:
@@ -382,12 +375,7 @@ def solve_scattered(mesh: PanelMesh, inc: IncidentWave) -> tuple[LayerDensity, S
             f"linear solve residual {residual:.3e} exceeds "
             f"{SOLVE_RESIDUAL_RTOL:g} * ||rhs|| = {SOLVE_RESIDUAL_RTOL * rhs_norm:.3e}"
         )
-    density = LayerDensity(
-        coefficients=sigma,
-        formulation=fact.formulation,
-        eta=fact.eta,
-        k=inc.k,
-    )
+    density = LayerDensity(coefficients=sigma, bc=inc.bc, k=inc.k)
     report = SolveReport(
         panel_count=mesh.n_panels,
         condition_estimate=fact.cond_estimate,
@@ -426,14 +414,14 @@ def eval_scattered(
     evaluation points are legitimate; they are what the extension checks use.
     """
     if inc is not None:
-        if inc.k != density.k or _formulation_for(inc.bc) != density.formulation:
+        if (inc.k, inc.bc) != (density.k, density.bc):
             raise ValueError("incident wave does not match the density's k or formulation")
     _check_density_matches(density, mesh)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x.reshape(-1, 3)
     _check_eval_distance(mesh, pts)
-    rep = _REPR_FUNCS[density.formulation]
+    rep = _REPR_FUNCS[density.bc]
     vals = rep(pts[:, None, :], mesh.centroids[None, :, :], mesh.normals[None, :, :],
                density.k, density.eta)
     out = (vals * mesh.areas) @ density.coefficients
@@ -448,21 +436,18 @@ def eval_farfields(
 ) -> list[FarFieldPattern]:
     """Far-field patterns of several densities on one mesh and grid.
 
-    The far-field operator depends only on the mesh, k, the formulation and
-    the grid, so it is built once, _ROW_BLOCK directions at a time, and each
-    block is applied to all densities in one product."""
+    The far-field operator depends only on the mesh, k, the boundary
+    condition and the grid, so it is built once, _ROW_BLOCK directions at a
+    time, and each block is applied to all densities in one product."""
     if not densities:
         raise ValueError("eval_farfields needs at least one density")
     for density in densities:
         _check_density_matches(density, mesh)
     first = densities[0]
-    if any(
-        (d.k, d.formulation, d.eta) != (first.k, first.formulation, first.eta)
-        for d in densities
-    ):
+    if any((d.k, d.bc) != (first.k, first.bc) for d in densities):
         raise ValueError("densities must share k, formulation and eta")
     kern = GreenKernel(k=first.k, bc=first.bc)
-    normals = mesh.normals if first.formulation == "dirichlet_combined" else None
+    normals = mesh.normals if first.bc is BoundaryCondition.DIRICHLET else None
     sigma = np.column_stack([d.coefficients for d in densities])
     dirs = grid.directions
     values = np.empty((len(densities), grid.size), dtype=complex)
@@ -497,22 +482,16 @@ def eval_farfield(
 
 def export_farfield_csv(pattern: FarFieldPattern, path) -> None:
     """CSV with a provenance header line, then theta, phi, re, im rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(
-            f"# k={pattern.k:.17g} bc={pattern.bc.value} mesh_h={pattern.mesh_h:.17g} "
-            f"scene={pattern.scene_hash}\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "phi", "re", "im"])
-        for t, p, v in zip(pattern.grid.theta, pattern.grid.phi, pattern.values):
-            writer.writerow([f"{t:.17g}", f"{p:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
+    write_table(
+        path,
+        f"k={pattern.k:.17g} bc={pattern.bc.value} mesh_h={pattern.mesh_h:.17g} "
+        f"scene={pattern.scene_hash}",
+        ["theta", "phi", "re", "im"],
+        [pattern.grid.theta, pattern.grid.phi, pattern.values.real, pattern.values.imag],
+    )
 
 
 def export_density_csv(density: LayerDensity, path, scene_hash: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if scene_hash is not None:
-            fh.write(f"# scene={scene_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["panel_id", "re", "im"])
-        for i, c in enumerate(density.coefficients):
-            writer.writerow([i, f"{c.real:.17g}", f"{c.imag:.17g}"])
+    c = density.coefficients
+    write_table(path, scene_comment(scene_hash), ["panel_id", "re", "im"],
+                [np.arange(c.size), c.real, c.imag])

@@ -84,6 +84,18 @@ class TestBuildProfile:
         heights[4][4] = float("nan")
         with pytest.raises(SceneConfigError, match="NaN"):
             build_profile({"kind": "piecewise_linear", "R": 1.0, "heights": heights})
+        for value in (float("inf"), -float("inf")):
+            heights[4][4] = value
+            with pytest.raises(SceneConfigError, match="profile.heights.*infinite"):
+                build_profile({"kind": "piecewise_linear", "R": 1.0, "heights": heights})
+
+    @pytest.mark.parametrize("field", ["R", "amplitude", "width"])
+    @pytest.mark.parametrize("value", ["0.3", None, [0.3], True])
+    def test_rejects_non_numeric_scalars(self, field, value):
+        spec = {"kind": "gaussian_bump", "R": 1.0, "amplitude": 0.3, "width": 0.25}
+        spec[field] = value
+        with pytest.raises(SceneConfigError, match=f"profile.{field}"):
+            build_profile(spec)
 
     def test_dip_rejected_unless_allowed(self):
         spec = {"kind": "gaussian_bump", "R": 1.0, "amplitude": -0.2, "width": 0.25}

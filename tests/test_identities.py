@@ -129,8 +129,7 @@ class TestExtension:
         mesh = canonical_dirichlet.mesh
         density = LayerDensity(
             coefficients=np.zeros(mesh.n_panels, dtype=complex),
-            formulation="dirichlet_combined",
-            eta=2.0,
+            bc=D,
             k=2.0,
         )
         rep = check_extension(density, mesh, D, extension_samples(canonical_dirichlet))
@@ -158,8 +157,7 @@ class TestRadiationDecay:
         mesh = canonical_dirichlet.mesh
         density = LayerDensity(
             coefficients=np.zeros(mesh.n_panels, dtype=complex),
-            formulation="dirichlet_combined",
-            eta=2.0,
+            bc=D,
             k=2.0,
         )
         rep = check_radiation_decay(density, mesh, None, np.array([0.0, 0.0, 1.0]))

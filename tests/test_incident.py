@@ -43,6 +43,9 @@ class TestPlaneWaveConstruction:
             PointSource(z=(0.0, 0.0, 0.0), k=1.0, bc=D)
         with pytest.raises(ValueError):
             PointSource(z=(0.0, 0.0, 1.0), k=0.0, bc=D)
+        for z in [(np.nan, 0.0, 1.0), (0.0, -np.inf, 1.0), (0.0, 0.0, np.nan), (0.0, 0.0, np.inf)]:
+            with pytest.raises(ValueError, match="finite coordinates"):
+                PointSource(z=z, k=2.0, bc=D)
 
 
 class TestPlanePair:

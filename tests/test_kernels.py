@@ -236,13 +236,11 @@ class TestFarFieldMatrix:
             0.25,
         )
         rng = np.random.default_rng(25)
-        formulation = "dirichlet_combined" if bc is D else "neumann_single"
         eta = 2.0 if bc is D else 0.0
         densities = [
             LayerDensity(
                 coefficients=rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels),
-                formulation=formulation,
-                eta=eta,
+                bc=bc,
                 k=2.0,
             )
             for _ in range(3)
@@ -298,8 +296,7 @@ class TestHotPath:
         eta = 2.0 if bc is D else 0.0
         density = LayerDensity(
             coefficients=rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels),
-            formulation="dirichlet_combined" if bc is D else "neumann_single",
-            eta=eta,
+            bc=bc,
             k=2.0,
         )
         # above the plane, and one point below it

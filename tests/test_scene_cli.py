@@ -118,7 +118,12 @@ class TestCli:
         assert "dry run" in out and "scene_hash" in out
         panels = build_scene(load_config(flat_config)).mesh.n_panels
         assert f"dense_system_mb: {round(32 * panels**2 / 2**20, 1)}" in out
+        assert "lipschitz_constant: 0.0\n" in out
         assert not (tmp_path / "o").exists()
+        bump = write_config(tmp_path, canonical_config(), name="bump.yaml")
+        assert main(["forward", "--config", bump, "--dry-run"]) == 0
+        slope = build_scene(load_config(bump)).profile.max_slope
+        assert slope > 0 and f"lipschitz_constant: {slope}\n" in capsys.readouterr().out
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, canonical_config(bc="robin"))

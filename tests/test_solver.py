@@ -4,7 +4,7 @@ import scipy.linalg
 
 import halfscat.solver as solver_mod
 from conftest import helmholtz_rel_residual
-from halfscat.errors import ProximityError, ResonanceError
+from halfscat.errors import ProximityError, ResonanceError, SolveError
 from halfscat.geometry import build_profile, mesh_perturbation
 from halfscat.identities import fit_loglog_slope, radiation_residuals
 from halfscat.incident import BoundaryCondition, PlaneWave, PointSource
@@ -89,13 +89,35 @@ class TestSolveContract:
             get_factorization(small_bump_mesh, 2.0, N)
         solver_mod.clear_factorization_cache()
 
+    def test_singular_matrix_is_a_resonance(self, small_bump_mesh, monkeypatch):
+        n = small_bump_mesh.n_panels
+        singular = np.ones((n, n), dtype=complex)  # rank one: exact zero pivots
+        with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
+            lu, _ = scipy.linalg.lu_factor(singular)
+        assert solver_mod._condition_estimate(singular, lu) == np.inf
+        solver_mod.clear_factorization_cache()
+        monkeypatch.setattr(solver_mod, "_assemble_matrix", lambda *args: singular)
+        with pytest.raises(ResonanceError, match="inf exceeds"), pytest.warns(
+            scipy.linalg.LinAlgWarning
+        ):
+            get_factorization(small_bump_mesh, 2.0, D)
+        assert not solver_mod._FACTOR_CACHE
+
+    def test_condition_estimate_lapack_failure(self, monkeypatch):
+        A = np.eye(3, dtype=complex)
+        lu, _ = scipy.linalg.lu_factor(A)
+        monkeypatch.setattr(
+            scipy.linalg, "get_lapack_funcs", lambda *args: lambda lu, anorm, norm: (0.5, -2)
+        )
+        with pytest.raises(SolveError, match="info=-2"):
+            solver_mod._condition_estimate(A, lu)
+
 
 class TestEvalScattered:
     def test_zero_density_evaluates_to_zero(self, small_bump_mesh):
         density = LayerDensity(
             coefficients=np.zeros(small_bump_mesh.n_panels, dtype=complex),
-            formulation="dirichlet_combined",
-            eta=2.0,
+            bc=D,
             k=2.0,
         )
         val = eval_scattered(density, small_bump_mesh, None, np.array([0.0, 0.0, 2.0]))

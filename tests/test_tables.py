@@ -1,0 +1,132 @@
+"""Exact bytes of the five CSV tables on tiny hand-built inputs.
+
+Each table is an optional ``# ...`` comment line ending in ``\\n``, then a
+header and rows ending in ``\\r\\n``; integer columns print as integers and
+every other column with ``%.17g`` (so ``-0.0`` prints as ``-0`` and a
+subnormal keeps all 17 digits).
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from halfscat.geometry import PanelMesh, build_profile, export_mesh_csv, mesh_perturbation
+from halfscat.incident import BoundaryCondition, PlaneWave
+from halfscat.inverse import (
+    IndicatorMap,
+    InversionReport,
+    export_indicator_csv,
+    export_inversion_trace_csv,
+)
+from halfscat.solver import (
+    DirectionGrid,
+    FarFieldPattern,
+    export_density_csv,
+    export_farfield_csv,
+    solve_scattered,
+)
+
+SUB = 5e-324  # smallest subnormal double
+
+
+def test_farfield_bytes(tmp_path):
+    grid = DirectionGrid(
+        directions=np.zeros((2, 3)), theta=np.array([0.0, 1.5]), phi=np.array([SUB, 0.25])
+    )
+    pattern = FarFieldPattern(
+        grid=grid,
+        values=np.array([complex(-0.0, 1 / 3), complex(1e300, -SUB)]),
+        k=2.5,
+        bc=BoundaryCondition.NEUMANN,
+        mesh_h=0.125,
+        mesh_hash="m",
+        scene_hash="",
+    )
+    path = tmp_path / "f.csv"
+    export_farfield_csv(pattern, path)
+    assert path.read_bytes() == (
+        b"# k=2.5 bc=neumann mesh_h=0.125 scene=\n"
+        b"theta,phi,re,im\r\n"
+        b"0,4.9406564584124654e-324,-0,0.33333333333333331\r\n"
+        b"1.5,0.25,1.0000000000000001e+300,-4.9406564584124654e-324\r\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def density():
+    mesh = mesh_perturbation(build_profile({"kind": "zero", "R": 1.0}), 0.25)
+    solved, _ = solve_scattered(
+        mesh, PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=BoundaryCondition.DIRICHLET)
+    )
+    coeffs = np.array([complex(-0.0, SUB), complex(0.1, -2.0), 3.0])
+    return dataclasses.replace(solved, coefficients=coeffs)
+
+
+@pytest.mark.parametrize(
+    "scene_hash, comment", [(None, b""), ("", b"# scene=\n"), ("ab12", b"# scene=ab12\n")]
+)
+def test_density_bytes(tmp_path, density, scene_hash, comment):
+    path = tmp_path / "d.csv"
+    export_density_csv(density, path, scene_hash=scene_hash)
+    assert path.read_bytes() == comment + (
+        b"panel_id,re,im\r\n"
+        b"0,-0,4.9406564584124654e-324\r\n"
+        b"1,0.10000000000000001,-2\r\n"
+        b"2,3,0\r\n"
+    )
+
+
+def test_mesh_bytes(tmp_path):
+    mesh = PanelMesh(
+        vertices=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, -0.0], [0.0, 0.5, SUB]]),
+        triangles=np.array([[0, 1, 2]]),
+        centroids=np.array([[1 / 3, 1 / 6, 0.0]]),
+        areas=np.array([0.25]),
+        normals=np.array([[-0.0, 0.0, 1.0]]),
+        h=0.5,
+        n_rings=1,
+        support_radius=1.0,
+        content_hash="c",
+        grid_hash="g",
+    )
+    path = tmp_path / "m.csv"
+    export_mesh_csv(mesh, path, scene_hash="")
+    assert path.read_bytes() == (
+        b"# scene=\n"
+        b"panel_id,v1x,v1y,v1z,v2x,v2y,v2z,v3x,v3y,v3z,cx,cy,cz,area,nx,ny,nz\r\n"
+        b"0,0,0,0,1,0,-0,0,0.5,4.9406564584124654e-324,"
+        b"0.33333333333333331,0.16666666666666666,0,0.25,-0,0,1\r\n"
+    )
+
+
+def test_indicator_bytes(tmp_path):
+    indicator = IndicatorMap(
+        points=np.array([[0.0, -0.0, 0.2], [SUB, 1e-5, 2.0]]), values=np.array([1 / 7, 12.0])
+    )
+    path = tmp_path / "i.csv"
+    export_indicator_csv(indicator, path, scene_hash="")
+    assert path.read_bytes() == (
+        b"# scene=\n"
+        b"x,y,z,I\r\n"
+        b"0,-0,0.20000000000000001,0.14285714285714285\r\n"
+        b"4.9406564584124654e-324,1.0000000000000001e-05,2,12\r\n"
+    )
+
+
+@pytest.mark.parametrize("scene_hash, comment", [(None, b""), ("feed42", b"# scene=feed42\n")])
+def test_inversion_trace_bytes(tmp_path, scene_hash, comment):
+    report = InversionReport(
+        iterations=1,
+        objective_trace=np.array([0.5, SUB]),
+        params_trace=np.array([[0.15, 0.4], [-0.0, 1e20]]),
+        stop_reason="converged",
+        regularization=1e-4,
+    )
+    path = tmp_path / "t.csv"
+    export_inversion_trace_csv(report, path, scene_hash=scene_hash)
+    assert path.read_bytes() == comment + (
+        b"iter,objective,p0,p1\r\n"
+        b"0,0.5,0.14999999999999999,0.40000000000000002\r\n"
+        b"1,4.9406564584124654e-324,-0,1e+20\r\n"
+    )
