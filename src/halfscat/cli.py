@@ -241,6 +241,9 @@ def _run_forward(scene, out_dir: Path) -> bool:
                 "residual_norm": report.residual_norm,
                 "rhs_norm": report.rhs_norm,
                 "wall_time_s": report.wall_time_s,
+                "cache_hit": report.cache_hit,
+                "assembly_time_s": report.assembly_time_s,
+                "factor_time_s": report.factor_time_s,
             }
         )
         print(

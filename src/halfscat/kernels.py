@@ -53,78 +53,149 @@ def free_space(r, k: float):
 
 
 def _displacements(x, y):
-    """x - y and x - y' with their lengths."""
-    dx = x - y
-    dxi = x - y * MIRROR
-    return dx, dxi, np.sqrt(np.sum(dx * dx, axis=-1)), np.sqrt(np.sum(dxi * dxi, axis=-1))
+    """x - y as three real arrays d0, d1, d2, and e2 = x3 + y3, the third
+    component of x - y' (its first two are d0, d1).
+
+    Each length-3 sum over these components is written out in index order,
+    which is the order np.sum takes over a last axis of length 3, so the
+    bits match the (..., 3) form without building its temporaries."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return (
+        x[..., 0] - y[..., 0],
+        x[..., 1] - y[..., 1],
+        x[..., 2] - y[..., 2],
+        x[..., 2] + y[..., 2],
+    )
+
+
+def _lengths(d):
+    """|x - y| and |x - y'| from the components of _displacements."""
+    d0, d1, d2, e2 = d
+    planar = d0 * d0 + d1 * d1
+    return np.sqrt(planar + d2 * d2), np.sqrt(planar + e2 * e2)
 
 
 def _checked_pair(x, y, k: float):
-    """Displacements to y and y' with (Phi, c) of each; raises when x meets
-    either point."""
-    dx, dxi, r, r_img = _displacements(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    """Displacement components with (Phi, c) at y and at y'; raises when x or
+    y is not finite or x meets either point."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("evaluation and source points must be finite")
+    d = _displacements(x, y)
+    r, r_img = _lengths(d)
     if np.min(r) < SINGULARITY_GUARD:
         raise SingularityError("evaluation point coincides with the source point y")
     if np.min(r_img) < SINGULARITY_GUARD:
         raise SingularityError("evaluation point coincides with the image source y'")
-    return dx, dxi, free_space(r, k), free_space(r_img, k)
+    return d, free_space(r, k), free_space(r_img, k)
 
 
-def _unchecked_pair(x, y, k: float):
-    """As _checked_pair for (..., 3) arrays, without the guard: coincident
-    pairs yield finite garbage that the caller must overwrite."""
-    dx, dxi, r, r_img = _displacements(x, y)
+def _radial_pair(d, k: float):
+    """(Phi, c, Phi', c') at |x - y| and |x - y'| without the guard:
+    coincident pairs yield finite garbage that the caller must overwrite."""
+    r, r_img = _lengths(d)
     np.maximum(r, 1e-30, out=r)
     np.maximum(r_img, 1e-30, out=r_img)
-    return dx, dxi, free_space(r, k), free_space(r_img, k)
+    return (*free_space(r, k), *free_space(r_img, k))
 
 
 def eval_G(kern: GreenKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """G(x, y) = Phi(x,y) -/+ Phi(x,y'); broadcasts over (..., 3) inputs."""
-    _, _, (phi, _), (phi_img, _) = _checked_pair(x, y, kern.k)
+    _, (phi, _), (phi_img, _) = _checked_pair(x, y, kern.k)
     return phi + kern.bc.image_sign * phi_img
+
+
+def _vectors(d):
+    """x - y and x - y' as (..., 3) arrays, for the gradients."""
+    d0, d1, d2, e2 = d
+    return np.stack([d0, d1, d2], axis=-1), np.stack([d0, d1, e2], axis=-1)
 
 
 def grad_G_y(kern: GreenKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of G in the source argument (double-layer kernel before the
     normal contraction)."""
-    dx, dxi, (_, c), (_, c_img) = _checked_pair(x, y, kern.k)
+    d, (_, c), (_, c_img) = _checked_pair(x, y, kern.k)
+    dx, dxi = _vectors(d)
     return -(c[..., None] * dx) - kern.bc.image_sign * (c_img[..., None] * dxi) * MIRROR
 
 
 def grad_G_x(kern: GreenKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of G in the evaluation argument (adjoint double-layer kernel)."""
-    dx, dxi, (_, c), (_, c_img) = _checked_pair(x, y, kern.k)
+    d, (_, c), (_, c_img) = _checked_pair(x, y, kern.k)
+    dx, dxi = _vectors(d)
     return c[..., None] * dx + kern.bc.image_sign * (c_img[..., None] * dxi)
 
 
 # Unguarded integrands for collocation points x and source points y, as
 # broadcasting (..., 3) arrays.  They contract the normals into the radial
-# factors, so no complex (..., 3) gradient is formed.
+# factors, so no complex (..., 3) gradient is formed.  The *_terms forms take
+# the radial factors and displacement components already computed.
 
-def collocation_dirichlet(x, nu_x, y, nu_y, k, eta):
-    """Combined-kernel collocation integrand [nu_y . grad_y G - i eta G] of
-    the odd kernel."""
-    dx, dxi, (phi, c), (phi_img, c_img) = _unchecked_pair(x, y, k)
+def _combined_terms(radial, d, nu_x, nu_y, eta):
+    phi, c, phi_img, c_img = radial
+    d0, d1, d2, e2 = d
+    planar = d0 * nu_y[..., 0] + d1 * nu_y[..., 1]
     # grad_y G = -grad_x Phi(x,y) + M grad_x Phi(x,y') for the odd kernel
-    dl = -c * np.sum(dx * nu_y, axis=-1) + c_img * np.sum(dxi * (nu_y * MIRROR), axis=-1)
+    dl = -c * (planar + d2 * nu_y[..., 2]) + c_img * (planar - e2 * nu_y[..., 2])
     return dl - 1j * eta * (phi - phi_img)
 
 
-def collocation_neumann(x, nu_x, y, nu_y, k, eta):
-    """Adjoint-double-layer integrand nu_x . grad_x G of the even kernel."""
-    dx, dxi, (_, c), (_, c_img) = _unchecked_pair(x, y, k)
-    return c * np.sum(dx * nu_x, axis=-1) + c_img * np.sum(dxi * nu_x, axis=-1)
+def _adjoint_terms(radial, d, nu_x, nu_y, eta):
+    _, c, _, c_img = radial
+    d0, d1, d2, e2 = d
+    planar = d0 * nu_x[..., 0] + d1 * nu_x[..., 1]
+    return c * (planar + d2 * nu_x[..., 2]) + c_img * (planar + e2 * nu_x[..., 2])
+
+
+_COLLOCATION_TERMS = {
+    BoundaryCondition.DIRICHLET: _combined_terms,
+    BoundaryCondition.NEUMANN: _adjoint_terms,
+}
+
+
+def collocation(bc: BoundaryCondition, x, nu_x, y, nu_y, k, eta):
+    """Collocation integrand: the combined kernel [nu_y . grad_y G - i eta G]
+    of the odd kernel (sound-soft), or the adjoint double layer
+    nu_x . grad_x G of the even kernel (sound-hard)."""
+    d = _displacements(x, y)
+    return _COLLOCATION_TERMS[bc](_radial_pair(d, k), d, nu_x, nu_y, eta)
+
+
+def collocation_tiles(bc: BoundaryCondition, points, normals, k, eta, block: int):
+    """Collocation integrands with x and y both running over ``points`` (n, 3),
+    as (rows, cols, values) tiles of edge ``block`` that cover the n x n
+    matrix once.
+
+    |x - y| and x3 + y3 are bitwise symmetric in (x, y), so the radial
+    factors of tile (J, I) are those of tile (I, J) transposed: they are
+    computed on the tiles I <= J only, which halves the complex exponentials.
+    The mirror tile recomputes only its displacements and normal
+    contractions, so every value equals ``collocation``'s bit for bit."""
+    terms = _COLLOCATION_TERMS[bc]
+    n = len(points)
+    for lo in range(0, n, block):
+        i = slice(lo, min(lo + block, n))
+        for lo_j in range(lo, n, block):
+            j = slice(lo_j, min(lo_j + block, n))
+            d = _displacements(points[i, None], points[None, j])
+            radial = _radial_pair(d, k)
+            yield i, j, terms(radial, d, normals[i, None], normals[None, j], eta)
+            if lo_j > lo:
+                d = _displacements(points[j, None], points[None, i])
+                radial = tuple(f.T for f in radial)
+                yield j, i, terms(radial, d, normals[j, None], normals[None, i], eta)
 
 
 def representation_dirichlet(x, y, nu_y, k, eta):
     """Potential integrand of the combined ansatz at off-surface points."""
-    return collocation_dirichlet(x, None, y, nu_y, k, eta)
+    return collocation(BoundaryCondition.DIRICHLET, x, None, y, nu_y, k, eta)
 
 
 def representation_neumann(x, y, nu_y, k, eta):
     """Potential integrand of the single-layer ansatz: the even kernel G."""
-    _, _, (phi, _), (phi_img, _) = _unchecked_pair(x, y, k)
+    phi, _, phi_img, _ = _radial_pair(_displacements(x, y), k)
     return phi + phi_img
 
 

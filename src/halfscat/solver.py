@@ -26,8 +26,8 @@ from .kernels import (
     MIRROR,
     BoundaryCondition,
     GreenKernel,
-    collocation_dirichlet,
-    collocation_neumann,
+    collocation,
+    collocation_tiles,
     farfield_matrix,
     representation_dirichlet,
     representation_neumann,
@@ -68,6 +68,9 @@ class SolveReport:
     residual_norm: float
     rhs_norm: float
     wall_time_s: float
+    cache_hit: bool
+    assembly_time_s: float  # 0.0 on a cache hit, as is factor_time_s
+    factor_time_s: float
 
 
 @dataclass(frozen=True)
@@ -134,11 +137,6 @@ def _coupling(k: float, bc: BoundaryCondition) -> float:
     sound-hard single layer."""
     return k if bc is BoundaryCondition.DIRICHLET else 0.0
 
-
-_ENTRY_FUNCS = {
-    BoundaryCondition.DIRICHLET: collocation_dirichlet,
-    BoundaryCondition.NEUMANN: collocation_neumann,
-}
 
 _REPR_FUNCS = {
     BoundaryCondition.DIRICHLET: representation_dirichlet,
@@ -248,6 +246,7 @@ class _Factorization:
     piv: np.ndarray
     cond_estimate: float
     assembly_time_s: float
+    factor_time_s: float  # lu_factor and the gecon condition estimate
 
 
 # not locked: the package starts no threads, so one thread uses the cache
@@ -264,14 +263,10 @@ def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition, eta: floa
     cents = mesh.centroids
     normals = mesh.normals
     areas = mesh.areas
-    entry = _ENTRY_FUNCS[bc]
 
     A = np.empty((n, n), dtype=complex)
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
-        x = cents[lo:hi, None, :]
-        nu_x = normals[lo:hi, None, :]
-        A[lo:hi] = entry(x, nu_x, cents[None, :, :], normals[None, :, :], k, eta) * areas
+    for rows, cols, vals in collocation_tiles(bc, cents, normals, k, eta, _ROW_BLOCK):
+        A[rows, cols] = vals * areas[cols]
 
     # self and vertex-adjacent panels: graded subdivision toward the point of
     # the source panel closest to the collocation point
@@ -281,7 +276,8 @@ def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition, eta: floa
     pv = mesh.panel_vertices()[cols]
     p_sing = _closest_points_on_triangles(cents[rows], pv[:, 0], pv[:, 1], pv[:, 2])
     leaf_cents, leaf_areas = _graded_leaves(pv, p_sing)
-    vals = entry(
+    vals = collocation(
+        bc,
         cents[rows][:, None, :],
         normals[rows][:, None, :],
         leaf_cents,
@@ -306,10 +302,14 @@ def _condition_estimate(A: np.ndarray, lu: np.ndarray) -> float:
     return float(1.0 / rcond) if rcond > 0 else np.inf
 
 
+def _cache_key(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> tuple:
+    return (mesh.content_hash, float(k), bc.value)
+
+
 def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Factorization:
     """Assemble and factorize (or fetch from the cache) the collocation system
     for this mesh/wavenumber/boundary condition."""
-    key = (mesh.content_hash, float(k), bc.value)
+    key = _cache_key(mesh, k, bc)
     fact = _FACTOR_CACHE.get(key)
     if fact is not None:
         _FACTOR_CACHE.move_to_end(key)
@@ -317,6 +317,7 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
 
     t0 = time.perf_counter()
     A = _assemble_matrix(mesh, k, bc, _coupling(k, bc))
+    t1 = time.perf_counter()
     lu, piv = scipy.linalg.lu_factor(A)
     cond = _condition_estimate(A, lu)
     fact = _Factorization(
@@ -324,7 +325,8 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
         lu=lu,
         piv=piv,
         cond_estimate=cond,
-        assembly_time_s=time.perf_counter() - t0,
+        assembly_time_s=t1 - t0,
+        factor_time_s=time.perf_counter() - t1,
     )
     if cond > CONDITION_LIMIT:
         if bc is BoundaryCondition.NEUMANN:
@@ -365,6 +367,7 @@ def solve_scattered(mesh: PanelMesh, inc: IncidentWave) -> tuple[LayerDensity, S
                 f"need at least 2h = {2 * mesh.h:.3g}"
             )
     t0 = time.perf_counter()
+    cache_hit = _cache_key(mesh, inc.k, inc.bc) in _FACTOR_CACHE
     fact = get_factorization(mesh, inc.k, inc.bc)
     b = _right_hand_side(mesh, inc)
     sigma = scipy.linalg.lu_solve((fact.lu, fact.piv), b)
@@ -382,6 +385,9 @@ def solve_scattered(mesh: PanelMesh, inc: IncidentWave) -> tuple[LayerDensity, S
         residual_norm=residual,
         rhs_norm=rhs_norm,
         wall_time_s=time.perf_counter() - t0,
+        cache_hit=cache_hit,
+        assembly_time_s=0.0 if cache_hit else fact.assembly_time_s,
+        factor_time_s=0.0 if cache_hit else fact.factor_time_s,
     )
     return density, report
 

@@ -163,6 +163,12 @@ class TestPointPair:
         with pytest.raises(SingularityError):
             grad_point_pair(w, np.array([0.0, 0.0, 1.0 + 1e-13]))
 
+    def test_non_finite_evaluation_point_rejected(self):
+        w = PointSource(z=np.array([0.0, 0.0, 0.5]), k=2.0, bc=D)
+        for evaluate in (eval_point_pair, grad_point_pair):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(w, np.array([np.nan, 0.0, 1.0]))
+
     def test_leading_singularity_magnitude(self):
         # gradient ~ 1/(4 pi r^2) as x -> z
         w = PointSource(z=(0.0, 0.0, 1.0), k=2.0, bc=D)

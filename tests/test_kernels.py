@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import halfscat.solver as solver_mod
 from conftest import fd_gradient, helmholtz_rel_residual
 from halfscat.errors import SingularityError
 from halfscat.geometry import build_profile, mesh_perturbation
@@ -69,6 +70,18 @@ class TestEvalG:
             eval_G(KD, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
         with pytest.raises(SingularityError, match="image"):
             eval_G(KD, np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("evaluator", [eval_G, grad_G_x, grad_G_y])
+    def test_non_finite_points_rejected(self, evaluator):
+        kern = GreenKernel(k=2.0, bc=D)
+        good = np.array([0.0, 0.0, 0.5])
+        for bad in ([np.nan, 0.0, 1.0], [0.0, np.inf, 1.0], [0.0, 0.0, -np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                evaluator(kern, np.array(bad), good)
+            with pytest.raises(ValueError, match="finite"):
+                evaluator(kern, good, np.array(bad))
+        with pytest.raises(ValueError, match="finite"):
+            evaluator(kern, np.array([[0.3, 0.1, 1.0], [np.nan, 0.0, 1.0]]), good)
 
     def test_helmholtz_residual_in_x(self):
         kern = GreenKernel(k=2.0, bc=D)
@@ -288,6 +301,18 @@ class TestHotPath:
         else:
             ref = np.sum(mesh.normals[i] * grad_G_x(kern, x, y), axis=-1)
         assert _rel_max(A[i, j], ref * mesh.areas[j]) <= 1e-13
+
+    @pytest.mark.parametrize("bc", [D, N])
+    def test_tile_edge_invariance(self, small_bump_mesh, bc, monkeypatch):
+        """Ragged tiles, diagonal tiles and mirrored tiles give the same bytes
+        as the default tiling, including a single tile larger than the matrix."""
+        mesh = small_bump_mesh
+        eta = 2.0 if bc is D else 0.0
+        ref = _assemble_matrix(mesh, 2.0, bc, eta)
+        for block in (7, 256, mesh.n_panels + 5):
+            monkeypatch.setattr(solver_mod, "_ROW_BLOCK", block)
+            A = _assemble_matrix(mesh, 2.0, bc, eta)
+            assert A.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("bc", [D, N])
     def test_representation(self, small_bump_mesh, bc):

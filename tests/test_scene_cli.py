@@ -219,6 +219,21 @@ class TestCli:
             got = rows[:, 2] + 1j * rows[:, 3]
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
+    def test_solve_report_cache_and_timings(self, tmp_path, capsys):
+        cfg = canonical_config(profile={"kind": "zero", "R": 1.0}, mesh={"target_h": 0.18})
+        cfg["incidents"] = [
+            {"type": "plane", "phi": 0.0, "theta": 0.0},
+            {"type": "point", "z": [0.5, 0.0, 1.5]},
+        ]
+        del cfg["incident"]
+        path = write_config(tmp_path, cfg)
+        solver_mod.clear_factorization_cache()
+        assert main(["forward", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        solves = json.loads((tmp_path / "o" / "solve_report.json").read_text())["solves"]
+        assert [s["cache_hit"] for s in solves] == [False, True]
+        assert solves[0]["assembly_time_s"] > 0 and solves[0]["factor_time_s"] > 0
+        assert solves[1]["assembly_time_s"] == solves[1]["factor_time_s"] == 0.0
+
     def test_indicator_config_overrides(self, tmp_path, capsys):
         cfg = canonical_config(mesh={"target_h": 0.1})
         cfg["indicator"] = {"n_samples": 6, "top": 1.2, "far_factor": 4.0}
