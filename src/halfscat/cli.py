@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -92,8 +93,8 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
-    if not (args.tolerance_scale > 0):
-        print("error: --tolerance-scale must be > 0", file=sys.stderr)
+    if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0):
+        print("error: --tolerance-scale must be finite and > 0", file=sys.stderr)
         return 2
 
     try:

@@ -10,25 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DippingProfileError, SceneConfigError
-from .util import scene_comment, write_table
+from .util import as_float, as_mapping, check_keys, require, scene_comment, write_table
 
 PROFILE_KINDS = ("zero", "gaussian_bump", "piecewise_linear")
-
-
-def _reject_unknown(leftover: dict, where: str) -> None:
-    if leftover:
-        key = sorted(leftover)[0]
-        raise SceneConfigError(f"{where}.{key}", "unknown key")
-
-
-def _finite_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _hash_arrays(*arrays, tag: str = "") -> str:
@@ -137,36 +126,52 @@ def _gaussian_max_slope(a: float, sigma: float, R: float) -> float:
     return float(slope.max())
 
 
-def build_profile(spec: dict) -> SurfaceProfile:
-    """Validate a profile description and build the height function.
+def validate_profile(spec) -> dict:
+    """The profile schema, checked both when a scene config loads and when a
+    profile is built.
 
     ``spec`` keys: ``kind`` plus ``R`` (> 0); ``gaussian_bump`` takes
-    ``amplitude`` and ``width``; ``piecewise_linear`` takes ``heights``
-    (square list/array of node heights on the grid over ``[-R, R]^2``).
-    ``allow_dip`` accepts negative heights, which every solver path refuses.
+    ``amplitude`` and ``width`` (> 0); ``piecewise_linear`` takes ``heights``
+    (square list/array of node heights on the grid over ``[-R, R]^2``); both
+    take ``allow_dip``.  Returns the canonical description that the scene hash
+    covers: ``R``, ``amplitude`` and ``width`` as floats, ``heights`` as
+    given, ``allow_dip`` only when set.
     """
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind not in PROFILE_KINDS:
-        raise SceneConfigError("profile.kind", f"expected one of {PROFILE_KINDS}, got {kind!r}")
-    R = spec.pop("R", None)
-    if not _finite_number(R) or R <= 0:
-        raise SceneConfigError("profile.R", f"support radius must be finite and > 0, got {R!r}")
-    R = float(R)
-    allow_dip = bool(spec.pop("allow_dip", False))
+    where = "profile"
+    spec = as_mapping(spec, where)
+    kind = spec.get("kind")
+    out = {"kind": kind, "R": as_float(require(spec, "R", where), f"{where}.R", positive=True)}
+    if kind == "zero":
+        check_keys(spec, {"kind", "R"}, where)
+    elif kind == "gaussian_bump":
+        check_keys(spec, {"kind", "R", "amplitude", "width", "allow_dip"}, where)
+        out["amplitude"] = as_float(require(spec, "amplitude", where), f"{where}.amplitude")
+        out["width"] = as_float(require(spec, "width", where), f"{where}.width", positive=True)
+    elif kind == "piecewise_linear":
+        check_keys(spec, {"kind", "R", "heights", "allow_dip"}, where)
+        out["heights"] = require(spec, "heights", where)
+    else:
+        kinds = " | ".join(PROFILE_KINDS)
+        raise SceneConfigError(f"{where}.kind", f"expected {kinds}, got {kind!r}")
+    if spec.get("allow_dip"):
+        out["allow_dip"] = True
+    return out
+
+
+def build_profile(spec: dict) -> SurfaceProfile:
+    """Validate a profile description (``validate_profile``) and build the
+    height function.  ``allow_dip`` accepts negative heights, which every
+    solver path refuses.
+    """
+    spec = validate_profile(spec)
+    kind, R = spec["kind"], spec["R"]
+    allow_dip = spec.get("allow_dip", False)
 
     if kind == "zero":
-        _reject_unknown(spec, "profile")
         return SurfaceProfile(kind="zero", support_radius=R, max_slope=0.0)
 
     if kind == "gaussian_bump":
-        a = spec.pop("amplitude", None)
-        sigma = spec.pop("width", None)
-        _reject_unknown(spec, "profile")
-        if not _finite_number(a):
-            raise SceneConfigError("profile.amplitude", f"finite amplitude required, got {a!r}")
-        if not _finite_number(sigma) or sigma <= 0:
-            raise SceneConfigError("profile.width", f"width must be finite and > 0, got {sigma!r}")
+        a, sigma = spec["amplitude"], spec["width"]
         if a < 0 and not allow_dip:
             raise DippingProfileError(
                 "gaussian_bump amplitude < 0 dips below the ground plane; "
@@ -175,17 +180,13 @@ def build_profile(spec: dict) -> SurfaceProfile:
         return SurfaceProfile(
             kind="gaussian_bump",
             support_radius=R,
-            amplitude=float(a),
-            width=float(sigma),
+            amplitude=a,
+            width=sigma,
             allow_dip=allow_dip,
             max_slope=_gaussian_max_slope(a, sigma, R),
         )
 
-    raw = spec.pop("heights", None)
-    _reject_unknown(spec, "profile")
-    if raw is None:
-        raise SceneConfigError("profile.heights", "piecewise_linear profile requires node heights")
-    heights = np.array(raw, dtype=float)
+    heights = np.array(spec["heights"], dtype=float)
     if heights.ndim != 2 or heights.shape[0] != heights.shape[1] or heights.shape[0] < 3:
         raise SceneConfigError(
             "profile.heights", f"square node grid of size >= 3 required, got shape {heights.shape}"
@@ -215,7 +216,6 @@ def build_profile(spec: dict) -> SurfaceProfile:
             f"node ({i},{j}) at |x~|={rnode[i, j]:.4g} is nonzero but too close to the "
             f"support rim |x~|={R:g}; nonzero nodes must satisfy |x~| <= R - sqrt(2)*spacing",
         )
-    heights = heights.copy()
     heights.setflags(write=False)
     node_xs.setflags(write=False)
     return SurfaceProfile(

@@ -292,11 +292,21 @@ def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition, eta: floa
     return A
 
 
+def _one_norm(A: np.ndarray) -> float:
+    """``np.linalg.norm(A, 1)`` bit for bit, without its ``n x n`` ``|A|``
+    temporary: the column sums of ``|A|`` accumulate row by row, the order in
+    which numpy reduces over the first axis."""
+    col_sums = np.zeros(A.shape[1])
+    for row in A:
+        col_sums += np.abs(row)
+    return float(col_sums.max())
+
+
 def _condition_estimate(A: np.ndarray, lu: np.ndarray) -> float:
     """LAPACK gecon 1-norm estimate from the LU factors; inf for an exactly
     singular matrix, so the resonance check rejects it."""
     gecon = scipy.linalg.get_lapack_funcs("gecon", (A,))
-    rcond, info = gecon(lu, np.linalg.norm(A, 1), norm="1")
+    rcond, info = gecon(lu, _one_norm(A), norm="1")
     if info != 0:
         raise SolveError(f"LAPACK gecon failed with info={info}")
     return float(1.0 / rcond) if rcond > 0 else np.inf

@@ -1,12 +1,63 @@
-"""Small shared helpers: canonical JSON, content hashing and the CSV table writer."""
+"""Small shared helpers: config field checks, canonical JSON, content hashing
+and the CSV table writer."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
+
+from .errors import SceneConfigError
+
+
+def require(cfg: dict, key: str, where: str):
+    if key not in cfg:
+        raise SceneConfigError(f"{where}.{key}" if where else key, "missing required key")
+    return cfg[key]
+
+
+def check_keys(cfg: dict, allowed: set[str], where: str) -> None:
+    unknown = set(cfg) - allowed
+    if unknown:
+        key = sorted(unknown)[0]
+        raise SceneConfigError(f"{where}.{key}" if where else key, "unknown key")
+
+
+def as_mapping(value, where: str, allowed: set[str] | None = None) -> dict:
+    """``value`` as a config section; with ``allowed``, its keys must be among them."""
+    if not isinstance(value, dict):
+        raise SceneConfigError(where, f"expected a mapping, got {value!r}")
+    if allowed is not None:
+        check_keys(value, allowed, where)
+    return value
+
+
+def as_float(value, where: str, positive: bool = False) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SceneConfigError(where, f"expected a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise SceneConfigError(where, "must be finite")
+    if positive and value <= 0:
+        raise SceneConfigError(where, f"must be > 0, got {value!r}")
+    return value
+
+
+def as_int(value, where: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SceneConfigError(where, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SceneConfigError(where, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def as_vec3(value, where: str) -> list[float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise SceneConfigError(where, f"expected [x, y, z], got {value!r}")
+    return [as_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
 def canonical_json(obj) -> str:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,19 @@ import yaml
 import halfscat.solver as solver_mod
 from conftest import canonical_config
 from halfscat.cli import main
-from halfscat.errors import SceneConfigError
+from halfscat.errors import DippingProfileError, SceneConfigError
+from halfscat.geometry import build_profile
 from halfscat.incident import PlaneWave, PointSource
 from halfscat.kernels import farfield_matrix
 from halfscat.scene import build_scene, load_config, validate_config
 from halfscat.solver import eval_farfield, solve_scattered
 from halfscat.suites import DEFAULT_TOLERANCES, refine_scene
+
+
+BUMP = {"kind": "gaussian_bump", "R": 1.0, "amplitude": 0.3, "width": 0.25}
+PEAK_7 = [[1 if (i, j) == (3, 3) else 0 for j in range(7)] for i in range(7)]
+PEAK_7_FLOAT = [[float(v) for v in row] for row in PEAK_7]
+CANONICAL_YAML = Path(__file__).resolve().parents[1] / "configs" / "canonical.yaml"
 
 
 class TestConfigValidation:
@@ -65,6 +73,62 @@ class TestConfigValidation:
         # output location is not scene content
         h4 = validate_config(canonical_config(output_dir="elsewhere")).scene_hash
         assert h4 == h1
+
+    @pytest.mark.parametrize(
+        "profile, expected",
+        [
+            ("bump", "profile"),
+            ({"kind": "paraboloid", "R": 1.0}, "profile.kind"),
+            ({"kind": "zero", "R": 1.0, "amplitude": 0.1}, "profile.amplitude"),
+            ({"kind": "zero", "R": 1.0, "allow_dip": True}, "profile.allow_dip"),
+            ({"kind": "gaussian_bump", "R": 1.0, "width": 0.25}, "profile.amplitude"),
+            ({"kind": "piecewise_linear", "R": 1.0}, "profile.heights"),
+        ]
+        + [
+            ({**BUMP, name: value}, f"profile.{name}")
+            for name in ("R", "amplitude", "width")
+            for value in ("0.3", None, [0.3], True)
+        ],
+    )
+    def test_one_profile_schema(self, profile, expected):
+        with pytest.raises(SceneConfigError) as at_load:
+            validate_config(canonical_config(profile=profile))
+        with pytest.raises(SceneConfigError) as at_build:
+            build_profile(profile)
+        assert at_load.value.field == at_build.value.field == expected
+        assert str(at_load.value) == str(at_build.value)
+
+    def test_dip_rejected_at_build_not_at_load(self):
+        cfg = validate_config(canonical_config(profile={**BUMP, "amplitude": -0.2}))
+        with pytest.raises(DippingProfileError):
+            build_scene(cfg)
+
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            ({}, "26278647f0ac"),
+            ({"bc": "neumann"}, "627f8995ed49"),
+            ({"profile": {"kind": "piecewise_linear", "R": 2, "heights": PEAK_7}}, "354dea33e382"),
+            # heights hash as written: float nodes differ from integer ones
+            (
+                {"profile": {"kind": "piecewise_linear", "R": 2.0, "heights": PEAK_7_FLOAT}},
+                "3d58af7dd2c2",
+            ),
+        ],
+    )
+    def test_scene_hash_pinned(self, overrides, expected):
+        assert validate_config(canonical_config(**overrides)).scene_hash == expected
+
+    def test_canonical_file_hash_pinned(self):
+        assert load_config(CANONICAL_YAML).scene_hash == "26278647f0ac"
+
+    def test_negative_regularization_rejected(self):
+        with pytest.raises(SceneConfigError) as exc:
+            validate_config(canonical_config(invert={"regularization": -1.0}))
+        assert exc.value.field == "invert.regularization"
+        for value in (0.0, 2.5, None):
+            cfg = validate_config(canonical_config(invert={"regularization": value}))
+            assert cfg.invert["regularization"] == value
 
     def test_yaml_whitespace_irrelevant_to_hash(self, tmp_path):
         base = canonical_config()
@@ -287,7 +351,8 @@ class TestCli:
 
     def test_bad_flags(self, flat_config, capsys):
         assert main(["maxwell", "--config", flat_config, "--threads", "0"]) == 2
-        assert main(["maxwell", "--config", flat_config, "--tolerance-scale", "0"]) == 2
+        for scale in ("0", "inf", "nan"):
+            assert main(["maxwell", "--config", flat_config, "--tolerance-scale", scale]) == 2
 
 
 class TestSuiteHelpers:

@@ -103,6 +103,11 @@ class TestSolveContract:
             get_factorization(small_bump_mesh, 2.0, D)
         assert not solver_mod._FACTOR_CACHE
 
+    @pytest.mark.parametrize("bc", [D, N])
+    def test_one_norm_bit_equal_to_numpy(self, small_bump_mesh, bc):
+        A = solver_mod._assemble_matrix(small_bump_mesh, 2.0, bc, solver_mod._coupling(2.0, bc))
+        assert solver_mod._one_norm(A) == np.linalg.norm(A, 1)
+
     def test_condition_estimate_lapack_failure(self, monkeypatch):
         A = np.eye(3, dtype=complex)
         lu, _ = scipy.linalg.lu_factor(A)
