@@ -132,10 +132,11 @@ def validate_profile(spec) -> dict:
 
     ``spec`` keys: ``kind`` plus ``R`` (> 0); ``gaussian_bump`` takes
     ``amplitude`` and ``width`` (> 0); ``piecewise_linear`` takes ``heights``
-    (square list/array of node heights on the grid over ``[-R, R]^2``); both
-    take ``allow_dip``.  Returns the canonical description that the scene hash
-    covers: ``R``, ``amplitude`` and ``width`` as floats, ``heights`` as
-    given, ``allow_dip`` only when set.
+    (square list/array of at least 3 x 3 numbers, the node heights on the
+    grid over ``[-R, R]^2``); both take ``allow_dip`` (true or false).
+    Returns the canonical description that the scene hash covers: ``R``,
+    ``amplitude`` and ``width`` as floats, ``heights`` as given,
+    ``allow_dip`` only when true.
     """
     where = "profile"
     spec = as_mapping(spec, where)
@@ -150,12 +151,40 @@ def validate_profile(spec) -> dict:
     elif kind == "piecewise_linear":
         check_keys(spec, {"kind", "R", "heights", "allow_dip"}, where)
         out["heights"] = require(spec, "heights", where)
+        _height_grid(out["heights"])
     else:
         kinds = " | ".join(PROFILE_KINDS)
         raise SceneConfigError(f"{where}.kind", f"expected {kinds}, got {kind!r}")
-    if spec.get("allow_dip"):
+    allow_dip = spec.get("allow_dip", False)
+    if not isinstance(allow_dip, bool):
+        raise SceneConfigError(f"{where}.allow_dip", f"expected true or false, got {allow_dip!r}")
+    if allow_dip:
         out["allow_dip"] = True
     return out
+
+
+def _height_grid(value) -> np.ndarray:
+    """``heights`` as a square float array of at least 3 x 3 nodes, each an
+    ``int`` or ``float`` (not a bool or a string), as ``as_float`` asks of
+    the profile's scalars."""
+    rows = value.tolist() if isinstance(value, np.ndarray) else value
+    if not (
+        isinstance(rows, (list, tuple))
+        and all(isinstance(row, (list, tuple)) for row in rows)
+        and len({len(row) for row in rows}) <= 1
+        and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for row in rows for v in row
+        )
+    ):
+        raise SceneConfigError(
+            "profile.heights", f"expected a square grid of numbers, got {value!r}"
+        )
+    heights = np.array(rows, dtype=float)
+    if heights.ndim != 2 or heights.shape[0] != heights.shape[1] or heights.shape[0] < 3:
+        raise SceneConfigError(
+            "profile.heights", f"square node grid of size >= 3 required, got shape {heights.shape}"
+        )
+    return heights
 
 
 def build_profile(spec: dict) -> SurfaceProfile:
@@ -186,11 +215,7 @@ def build_profile(spec: dict) -> SurfaceProfile:
             max_slope=_gaussian_max_slope(a, sigma, R),
         )
 
-    heights = np.array(spec["heights"], dtype=float)
-    if heights.ndim != 2 or heights.shape[0] != heights.shape[1] or heights.shape[0] < 3:
-        raise SceneConfigError(
-            "profile.heights", f"square node grid of size >= 3 required, got shape {heights.shape}"
-        )
+    heights = _height_grid(spec["heights"])
     if not np.isfinite(heights).all():
         raise SceneConfigError("profile.heights", "NaN or infinite height")
     m = heights.shape[0]

@@ -48,25 +48,33 @@ class GreenKernel:
 def free_space(r, k: float):
     """Outgoing free-space kernel Phi = e^{ikr} / (4 pi r) at distance r, and
     its radial factor c = Phi'(r) / r, so that grad_x Phi(x, y) = c (x - y)."""
-    phi = np.exp(1j * k * r) / (4.0 * np.pi * r)
-    return phi, (1j * k - 1.0 / r) * phi / r
+    # a complex divided by a real equals it times the real's reciprocal, bit
+    # for bit, so the divisions become in-place products
+    inv_r = 1.0 / r
+    phi = np.exp(1j * k * r)
+    phi *= 1.0 / (4.0 * np.pi * r)
+    c = (1j * k - inv_r) * phi
+    c *= inv_r
+    return phi, c
+
+
+def _components(a):
+    """The three components of a (..., 3) array, as views."""
+    a = np.asarray(a, dtype=float)
+    return a[..., 0], a[..., 1], a[..., 2]
 
 
 def _displacements(x, y):
     """x - y as three real arrays d0, d1, d2, and e2 = x3 + y3, the third
-    component of x - y' (its first two are d0, d1).
+    component of x - y' (its first two are d0, d1); x and y are given as
+    their three components (``_components``, or the rows of a (3, ...) array).
 
     Each length-3 sum over these components is written out in index order,
     which is the order np.sum takes over a last axis of length 3, so the
     bits match the (..., 3) form without building its temporaries."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return (
-        x[..., 0] - y[..., 0],
-        x[..., 1] - y[..., 1],
-        x[..., 2] - y[..., 2],
-        x[..., 2] + y[..., 2],
-    )
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    return x0 - y0, x1 - y1, x2 - y2, x2 + y2
 
 
 def _lengths(d):
@@ -83,7 +91,7 @@ def _checked_pair(x, y, k: float):
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("evaluation and source points must be finite")
-    d = _displacements(x, y)
+    d = _displacements(_components(x), _components(y))
     r, r_img = _lengths(d)
     if np.min(r) < SINGULARITY_GUARD:
         raise SingularityError("evaluation point coincides with the source point y")
@@ -128,25 +136,27 @@ def grad_G_x(kern: GreenKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return c[..., None] * dx + kern.bc.image_sign * (c_img[..., None] * dxi)
 
 
-# Unguarded integrands for collocation points x and source points y, as
-# broadcasting (..., 3) arrays.  They contract the normals into the radial
-# factors, so no complex (..., 3) gradient is formed.  The *_terms forms take
-# the radial factors and displacement components already computed.
+# Unguarded integrands for collocation points x and source points y.  Points
+# and normals come as their three components, each a broadcasting array: the
+# rows of a (3, ...) array, or ``_components`` of a (..., 3) one.  The
+# integrands contract the normals into the radial factors, so no complex
+# (..., 3) gradient is formed.  The *_terms forms take the radial factors and
+# displacement components already computed.
 
 def _combined_terms(radial, d, nu_x, nu_y, eta):
     phi, c, phi_img, c_img = radial
     d0, d1, d2, e2 = d
-    planar = d0 * nu_y[..., 0] + d1 * nu_y[..., 1]
+    planar = d0 * nu_y[0] + d1 * nu_y[1]
     # grad_y G = -grad_x Phi(x,y) + M grad_x Phi(x,y') for the odd kernel
-    dl = -c * (planar + d2 * nu_y[..., 2]) + c_img * (planar - e2 * nu_y[..., 2])
+    dl = -c * (planar + d2 * nu_y[2]) + c_img * (planar - e2 * nu_y[2])
     return dl - 1j * eta * (phi - phi_img)
 
 
 def _adjoint_terms(radial, d, nu_x, nu_y, eta):
     _, c, _, c_img = radial
     d0, d1, d2, e2 = d
-    planar = d0 * nu_x[..., 0] + d1 * nu_x[..., 1]
-    return c * (planar + d2 * nu_x[..., 2]) + c_img * (planar + e2 * nu_x[..., 2])
+    planar = d0 * nu_x[0] + d1 * nu_x[1]
+    return c * (planar + d2 * nu_x[2]) + c_img * (planar + e2 * nu_x[2])
 
 
 _COLLOCATION_TERMS = {
@@ -158,7 +168,8 @@ _COLLOCATION_TERMS = {
 def collocation(bc: BoundaryCondition, x, nu_x, y, nu_y, k, eta):
     """Collocation integrand: the combined kernel [nu_y . grad_y G - i eta G]
     of the odd kernel (sound-soft), or the adjoint double layer
-    nu_x . grad_x G of the even kernel (sound-hard)."""
+    nu_x . grad_x G of the even kernel (sound-hard).  Every argument is given
+    by its three components; the sound-soft form does not read nu_x."""
     d = _displacements(x, y)
     return _COLLOCATION_TERMS[bc](_radial_pair(d, k), d, nu_x, nu_y, eta)
 
@@ -175,27 +186,33 @@ def collocation_tiles(bc: BoundaryCondition, points, normals, k, eta, block: int
     contractions, so every value equals ``collocation``'s bit for bit."""
     terms = _COLLOCATION_TERMS[bc]
     n = len(points)
+    pts = np.ascontiguousarray(np.transpose(points), dtype=float)
+    nrm = np.ascontiguousarray(np.transpose(normals), dtype=float)
     for lo in range(0, n, block):
         i = slice(lo, min(lo + block, n))
         for lo_j in range(lo, n, block):
             j = slice(lo_j, min(lo_j + block, n))
-            d = _displacements(points[i, None], points[None, j])
+            d = _displacements(pts[:, i, None], pts[:, None, j])
             radial = _radial_pair(d, k)
-            yield i, j, terms(radial, d, normals[i, None], normals[None, j], eta)
+            yield i, j, terms(radial, d, nrm[:, i, None], nrm[:, None, j], eta)
             if lo_j > lo:
-                d = _displacements(points[j, None], points[None, i])
+                d = _displacements(pts[:, j, None], pts[:, None, i])
                 radial = tuple(f.T for f in radial)
-                yield j, i, terms(radial, d, normals[j, None], normals[None, i], eta)
+                yield j, i, terms(radial, d, nrm[:, j, None], nrm[:, None, i], eta)
 
 
 def representation_dirichlet(x, y, nu_y, k, eta):
-    """Potential integrand of the combined ansatz at off-surface points."""
-    return collocation(BoundaryCondition.DIRICHLET, x, None, y, nu_y, k, eta)
+    """Potential integrand of the combined ansatz at off-surface points, all
+    arguments (..., 3) arrays."""
+    return collocation(
+        BoundaryCondition.DIRICHLET,
+        _components(x), None, _components(y), _components(nu_y), k, eta,
+    )
 
 
 def representation_neumann(x, y, nu_y, k, eta):
     """Potential integrand of the single-layer ansatz: the even kernel G."""
-    phi, _, phi_img, _ = _radial_pair(_displacements(x, y), k)
+    phi, _, phi_img, _ = _radial_pair(_displacements(_components(x), _components(y)), k)
     return phi + phi_img
 
 

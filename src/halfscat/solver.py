@@ -37,7 +37,8 @@ from .util import scene_comment, write_table
 SOLVE_RESIDUAL_RTOL = 1e-10
 CONDITION_LIMIT = 1e8
 GRADED_LEVELS = 3
-_ROW_BLOCK = 256
+GRADED_LEAVES = 3 * (2 * GRADED_LEVELS + 1)  # leaves per near panel
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -147,20 +148,26 @@ _REPR_FUNCS = {
 # ---------------------------------------------------------------------------
 # graded quadrature toward the singular point
 
+def _dot(u, v):
+    """u . v over the first axis of (3, ...) arrays, summed in index order."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def _closest_points_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Closest point of each triangle (a, b, c) to each p; vectorized version
-    of Ericson's region classification, all inputs (N, 3)."""
+    of Ericson's region classification.  Inputs and result are (3, N)
+    component arrays."""
     ab = b - a
     ac = c - a
     ap = p - a
-    d1 = np.sum(ab * ap, axis=-1)
-    d2 = np.sum(ac * ap, axis=-1)
+    d1 = _dot(ab, ap)
+    d2 = _dot(ac, ap)
     bp = p - b
-    d3 = np.sum(ab * bp, axis=-1)
-    d4 = np.sum(ac * bp, axis=-1)
+    d3 = _dot(ab, bp)
+    d4 = _dot(ac, bp)
     cp = p - c
-    d5 = np.sum(ab * cp, axis=-1)
-    d6 = np.sum(ac * cp, axis=-1)
+    d5 = _dot(ab, cp)
+    d6 = _dot(ac, cp)
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
@@ -169,25 +176,25 @@ def _closest_points_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c:
         return num / np.where(den != 0.0, den, 1.0)
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        t_ab = _safe_div(d1, d1 - d3)[..., None]
-        t_ac = _safe_div(d2, d2 - d6)[..., None]
-        t_bc = _safe_div(d4 - d3, (d4 - d3) + (d5 - d6))[..., None]
-        denom = _safe_div(np.ones_like(va), va + vb + vc)[..., None]
-        interior = a + ab * (vb[..., None] * denom) + ac * (vc[..., None] * denom)
+        t_ab = _safe_div(d1, d1 - d3)
+        t_ac = _safe_div(d2, d2 - d6)
+        t_bc = _safe_div(d4 - d3, (d4 - d3) + (d5 - d6))
+        denom = _safe_div(np.ones_like(va), va + vb + vc)
+        interior = a + ab * (vb * denom) + ac * (vc * denom)
 
     out = interior
     m6 = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
-    out = np.where(m6[..., None], b + (c - b) * t_bc, out)
+    out = np.where(m6, b + (c - b) * t_bc, out)
     m5 = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    out = np.where(m5[..., None], a + ac * t_ac, out)
+    out = np.where(m5, a + ac * t_ac, out)
     m4 = (d6 >= 0) & (d5 <= d6)
-    out = np.where(m4[..., None], c, out)
+    out = np.where(m4, c, out)
     m3 = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    out = np.where(m3[..., None], a + ab * t_ab, out)
+    out = np.where(m3, a + ab * t_ab, out)
     m2 = (d3 >= 0) & (d4 <= d3)
-    out = np.where(m2[..., None], b, out)
+    out = np.where(m2, b, out)
     m1 = (d1 <= 0) & (d2 <= 0)
-    out = np.where(m1[..., None], a, out)
+    out = np.where(m1, a, out)
     return out
 
 
@@ -195,45 +202,54 @@ def _graded_leaves(verts: np.ndarray, p: np.ndarray, levels: int = GRADED_LEVELS
     """Subdivide panels toward their singular points: connect p to the three
     corners, then refine each corner triangle geometrically toward p.
 
-    verts: (N, 3, 3) panel corner points, p: (N, 3) singular points.
-    Returns leaf centroids (N, L, 3) and areas (N, L); the leaves tile each
-    panel exactly (degenerate corners, when p sits on an edge, simply carry
-    zero area)."""
-    cents = []
-    areas = []
+    verts: (3, 3, N) panel corner points, indexed [corner, component, panel];
+    p: (3, N) singular points.  Returns leaf centroids (3, N, L), one
+    contiguous (N, L) array per component, and areas (N, L).  The leaves tile
+    each panel exactly (degenerate corners, when p sits on an edge, simply
+    carry zero area); panel j's leaves run fan by fan, the fan of corner ia
+    toward corner ia + 1 holding two leaves per level and the last one at p."""
+    n = p.shape[-1]
+    per_fan = 2 * levels + 1
+    # leaf corners, indexed [leaf corner, component, fan, leaf in fan, panel]
+    t = np.empty((3, 3, 3, per_fan, n))
+    pc = p[:, None, :]
+    a_prev = verts.transpose(1, 0, 2)
+    b_prev = verts[[1, 2, 0]].transpose(1, 0, 2)
+    for m in range(levels):
+        a_next = pc + 0.5 * (a_prev - pc)
+        b_next = pc + 0.5 * (b_prev - pc)
+        t[:, :, :, 2 * m] = a_prev, b_prev, b_next
+        t[:, :, :, 2 * m + 1] = a_prev, b_next, a_next
+        a_prev, b_prev = a_next, b_next
+    t[0, :, :, -1] = pc
+    t[1:, :, :, -1] = a_prev, b_prev
+    t0, t1, t2 = t.reshape(3, 3, 3 * per_fan, n)
+    cents = (t0 + t1 + t2) / 3.0
+    u = t1 - t0
+    v = t2 - t0
+    # u x v written out as np.cross forms it, its norm as np.linalg.norm sums
+    c0 = u[1] * v[2] - u[2] * v[1]
+    c1 = u[2] * v[0] - u[0] * v[2]
+    c2 = u[0] * v[1] - u[1] * v[0]
+    areas = 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    return np.ascontiguousarray(cents.transpose(0, 2, 1)), np.ascontiguousarray(areas.T)
 
-    def _push(t0, t1, t2):
-        cents.append((t0 + t1 + t2) / 3.0)
-        areas.append(0.5 * np.linalg.norm(np.cross(t1 - t0, t2 - t0), axis=-1))
 
-    for ia, ib in ((0, 1), (1, 2), (2, 0)):
-        a_prev = verts[:, ia]
-        b_prev = verts[:, ib]
-        for _ in range(levels):
-            a_next = p + 0.5 * (a_prev - p)
-            b_next = p + 0.5 * (b_prev - p)
-            _push(a_prev, b_prev, b_next)
-            _push(a_prev, b_next, a_next)
-            a_prev, b_prev = a_next, b_next
-        _push(p, a_prev, b_prev)
-    return np.stack(cents, axis=1), np.stack(areas, axis=1)
-
-
-def _vertex_adjacency(mesh: PanelMesh):
-    """Pairs (i, j) of panels sharing at least one vertex, i collocating on j."""
-    v2p: dict[int, list[int]] = {}
+def _vertex_adjacency(mesh: PanelMesh) -> np.ndarray:
+    """Pairs (i, j) of panels sharing at least one vertex, i collocating on j,
+    as a (P, 2) int array in lexicographic order."""
     tris = mesh.triangles
-    for t in range(tris.shape[0]):
-        for v in tris[t]:
-            v2p.setdefault(int(v), []).append(t)
-    pairs = set()
-    for t in range(tris.shape[0]):
-        near = set()
-        for v in tris[t]:
-            near.update(v2p[int(v)])
-        for u in near:
-            pairs.add((t, u))
-    return sorted(pairs)
+    n = tris.shape[0]
+    order = np.argsort(tris.ravel(), kind="stable")
+    panels = order // 3  # every panel's corners, listed vertex by vertex
+    vertex = tris.ravel()[order]
+    counts = np.bincount(vertex)
+    group = counts[vertex]  # panels at the vertex of each listed corner
+    start = np.repeat((np.cumsum(counts) - counts)[vertex], group)
+    # each listed panel against every panel listed at the same vertex
+    within = np.arange(start.size) - np.repeat(np.cumsum(group) - group, group)
+    keys = np.unique(np.repeat(panels, group) * n + panels[start + within])
+    return np.stack(np.divmod(keys, n), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,33 +275,32 @@ def clear_factorization_cache() -> None:
 
 
 def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition, eta: float) -> np.ndarray:
+    """The collocation matrix, built in pieces of about _ROW_BLOCK**2
+    integrand entries: the far block in square tiles, then the self and
+    vertex-adjacent panels in chunks of pairs, by graded subdivision toward
+    the point of the source panel closest to the collocation point."""
     n = mesh.n_panels
-    cents = mesh.centroids
-    normals = mesh.normals
     areas = mesh.areas
 
     A = np.empty((n, n), dtype=complex)
-    for rows, cols, vals in collocation_tiles(bc, cents, normals, k, eta, _ROW_BLOCK):
-        A[rows, cols] = vals * areas[cols]
+    for rows, cols, vals in collocation_tiles(bc, mesh.centroids, mesh.normals, k, eta, _ROW_BLOCK):
+        np.multiply(vals, areas[cols], out=A[rows, cols])
 
-    # self and vertex-adjacent panels: graded subdivision toward the point of
-    # the source panel closest to the collocation point
+    cents = np.ascontiguousarray(mesh.centroids.T)
+    normals = np.ascontiguousarray(mesh.normals.T)
+    corners = np.ascontiguousarray(mesh.panel_vertices().transpose(1, 2, 0))
     pairs = _vertex_adjacency(mesh)
-    rows = np.array([i for i, _ in pairs])
-    cols = np.array([j for _, j in pairs])
-    pv = mesh.panel_vertices()[cols]
-    p_sing = _closest_points_on_triangles(cents[rows], pv[:, 0], pv[:, 1], pv[:, 2])
-    leaf_cents, leaf_areas = _graded_leaves(pv, p_sing)
-    vals = collocation(
-        bc,
-        cents[rows][:, None, :],
-        normals[rows][:, None, :],
-        leaf_cents,
-        normals[cols][:, None, :],
-        k,
-        eta,
-    )
-    A[rows, cols] = np.sum(vals * leaf_areas, axis=1)
+    chunk = max(1, _ROW_BLOCK * _ROW_BLOCK // GRADED_LEAVES)
+    for lo in range(0, len(pairs), chunk):
+        rows, cols = pairs[lo:lo + chunk].T
+        x = cents[:, rows]
+        tri = corners[:, :, cols]
+        p_sing = _closest_points_on_triangles(x, tri[0], tri[1], tri[2])
+        leaf_cents, leaf_areas = _graded_leaves(tri, p_sing)
+        vals = collocation(
+            bc, x[:, :, None], normals[:, rows, None], leaf_cents, normals[:, cols, None], k, eta
+        )
+        A[rows, cols] = np.sum(vals * leaf_areas, axis=1)
 
     jump = 0.5 if bc is BoundaryCondition.DIRICHLET else -0.5
     A[np.arange(n), np.arange(n)] += jump

@@ -101,6 +101,8 @@ class TestBuildProfile:
         spec = {"kind": "gaussian_bump", "R": 1.0, "amplitude": -0.2, "width": 0.25}
         with pytest.raises(DippingProfileError):
             build_profile(spec)
+        with pytest.raises(DippingProfileError):
+            build_profile({**spec, "allow_dip": False})
         prof = build_profile({**spec, "allow_dip": True})
         assert prof.allow_dip
 

@@ -18,9 +18,12 @@ from halfscat.kernels import (
 )
 from halfscat.solver import (
     _ROW_BLOCK,
+    GRADED_LEAVES,
     DirectionGrid,
     LayerDensity,
     _assemble_matrix,
+    _closest_points_on_triangles,
+    _graded_leaves,
     _vertex_adjacency,
     eval_farfields,
     eval_scattered,
@@ -274,6 +277,119 @@ def small_bump_mesh():
     return mesh_perturbation(prof, 0.125)
 
 
+@pytest.fixture(scope="module")
+def canonical_mesh():
+    prof = build_profile({"kind": "gaussian_bump", "R": 1.0, "amplitude": 0.3, "width": 0.25})
+    return mesh_perturbation(prof, 0.085)
+
+
+def _reference_adjacency(mesh):
+    """Vertex adjacency from panel sets, as sorted (i, j) tuples."""
+    v2p = {}
+    tris = mesh.triangles
+    for t in range(tris.shape[0]):
+        for v in tris[t]:
+            v2p.setdefault(int(v), []).append(t)
+    pairs = set()
+    for t in range(tris.shape[0]):
+        for v in tris[t]:
+            pairs.update((t, u) for u in v2p[int(v)])
+    return sorted(pairs)
+
+
+def _reference_closest_points(p, a, b, c):
+    """Ericson's closest point on triangles, on (N, 3) arrays."""
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = np.sum(ab * ap, axis=-1)
+    d2 = np.sum(ac * ap, axis=-1)
+    bp = p - b
+    d3 = np.sum(ab * bp, axis=-1)
+    d4 = np.sum(ac * bp, axis=-1)
+    cp = p - c
+    d5 = np.sum(ab * cp, axis=-1)
+    d6 = np.sum(ac * cp, axis=-1)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    def _safe_div(num, den):
+        return num / np.where(den != 0.0, den, 1.0)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t_ab = _safe_div(d1, d1 - d3)[..., None]
+        t_ac = _safe_div(d2, d2 - d6)[..., None]
+        t_bc = _safe_div(d4 - d3, (d4 - d3) + (d5 - d6))[..., None]
+        denom = _safe_div(np.ones_like(va), va + vb + vc)[..., None]
+        interior = a + ab * (vb[..., None] * denom) + ac * (vc[..., None] * denom)
+
+    out = interior
+    m6 = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
+    out = np.where(m6[..., None], b + (c - b) * t_bc, out)
+    m5 = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+    out = np.where(m5[..., None], a + ac * t_ac, out)
+    m4 = (d6 >= 0) & (d5 <= d6)
+    out = np.where(m4[..., None], c, out)
+    m3 = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+    out = np.where(m3[..., None], a + ab * t_ab, out)
+    m2 = (d3 >= 0) & (d4 <= d3)
+    out = np.where(m2[..., None], b, out)
+    m1 = (d1 <= 0) & (d2 <= 0)
+    out = np.where(m1[..., None], a, out)
+    return out
+
+
+def _reference_leaves(verts, p, levels=3):
+    """Graded leaves with np.cross and np.linalg.norm: verts (N, 3, 3),
+    p (N, 3); centroids (N, L, 3) and areas (N, L)."""
+    cents, areas = [], []
+
+    def push(t0, t1, t2):
+        cents.append((t0 + t1 + t2) / 3.0)
+        areas.append(0.5 * np.linalg.norm(np.cross(t1 - t0, t2 - t0), axis=-1))
+
+    for ia, ib in ((0, 1), (1, 2), (2, 0)):
+        a_prev, b_prev = verts[:, ia], verts[:, ib]
+        for _ in range(levels):
+            a_next = p + 0.5 * (a_prev - p)
+            b_next = p + 0.5 * (b_prev - p)
+            push(a_prev, b_prev, b_next)
+            push(a_prev, b_next, a_next)
+            a_prev, b_prev = a_next, b_next
+        push(p, a_prev, b_prev)
+    return np.stack(cents, axis=1), np.stack(areas, axis=1)
+
+
+class TestNearGeometry:
+    """The component-form near-block geometry against the (N, 3) forms it
+    replaced, bit for bit."""
+
+    @pytest.fixture(params=["small_bump_mesh", "canonical_mesh"])
+    def mesh(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_adjacency(self, mesh):
+        pairs = _vertex_adjacency(mesh)
+        assert pairs.shape == (len(pairs), 2)
+        assert np.array_equal(pairs, np.array(_reference_adjacency(mesh)))
+
+    def test_closest_points_and_leaves(self, mesh):
+        rows, cols = _vertex_adjacency(mesh).T
+        x = mesh.centroids[rows]
+        pv = mesh.panel_vertices()[cols]
+        p_ref = _reference_closest_points(x, pv[:, 0], pv[:, 1], pv[:, 2])
+        corners = np.ascontiguousarray(pv.transpose(1, 2, 0))
+        p = _closest_points_on_triangles(x.T, corners[0], corners[1], corners[2])
+        assert np.array_equal(p.T, p_ref)
+
+        cents_ref, areas_ref = _reference_leaves(pv, p_ref)
+        cents, areas = _graded_leaves(corners, p)
+        assert cents.shape == (3, len(rows), GRADED_LEAVES) and cents[0].flags.c_contiguous
+        assert np.array_equal(np.moveaxis(cents, 0, -1), cents_ref)
+        assert np.array_equal(areas, areas_ref)
+
+
 def _public_integrand(kern, x, y, nu_y, eta):
     """Combined (sound-soft) or single-layer (sound-hard) potential kernel
     from the guarded public evaluators."""
@@ -305,10 +421,16 @@ class TestHotPath:
     @pytest.mark.parametrize("bc", [D, N])
     def test_tile_edge_invariance(self, small_bump_mesh, bc, monkeypatch):
         """Ragged tiles, diagonal tiles and mirrored tiles give the same bytes
-        as the default tiling, including a single tile larger than the matrix."""
+        as the default tiling, including a single tile larger than the matrix;
+        so do near-block chunks of a few pairs, ragged ones and a single one
+        holding every pair."""
         mesh = small_bump_mesh
         eta = 2.0 if bc is D else 0.0
         ref = _assemble_matrix(mesh, 2.0, bc, eta)
+        n_pairs = len(_vertex_adjacency(mesh))
+        chunks = [max(1, b * b // GRADED_LEAVES) for b in (7, 256, mesh.n_panels + 5)]
+        assert chunks[0] < 5 and chunks[-1] >= n_pairs
+        assert any(n_pairs % c for c in chunks[:-1])
         for block in (7, 256, mesh.n_panels + 5):
             monkeypatch.setattr(solver_mod, "_ROW_BLOCK", block)
             A = _assemble_matrix(mesh, 2.0, bc, eta)

@@ -20,6 +20,7 @@ from halfscat.suites import DEFAULT_TOLERANCES, refine_scene
 
 
 BUMP = {"kind": "gaussian_bump", "R": 1.0, "amplitude": 0.3, "width": 0.25}
+GRID = {"kind": "piecewise_linear", "R": 1.0}
 PEAK_7 = [[1 if (i, j) == (3, 3) else 0 for j in range(7)] for i in range(7)]
 PEAK_7_FLOAT = [[float(v) for v in row] for row in PEAK_7]
 CANONICAL_YAML = Path(__file__).resolve().parents[1] / "configs" / "canonical.yaml"
@@ -88,6 +89,16 @@ class TestConfigValidation:
             ({**BUMP, name: value}, f"profile.{name}")
             for name in ("R", "amplitude", "width")
             for value in ("0.3", None, [0.3], True)
+        ]
+        + [
+            ({**GRID, "heights": [[0, 0, 0], [0, "a", 0], [0, 0, 0]]}, "profile.heights"),
+            ({**GRID, "heights": [[0, 0, 0], [0, 0], [0, 0, 0]]}, "profile.heights"),
+            ({**GRID, "heights": [[0, 0], [0, 0]]}, "profile.heights"),
+            ({**GRID, "heights": [[0, 0, 0], [0, "0.2", 0], [0, 0, 0]]}, "profile.heights"),
+            ({**GRID, "heights": [[0, 0, 0], [0, True, 0], [0, 0, 0]]}, "profile.heights"),
+            ({**BUMP, "allow_dip": "no"}, "profile.allow_dip"),
+            ({**BUMP, "allow_dip": 1}, "profile.allow_dip"),
+            ({**BUMP, "allow_dip": None}, "profile.allow_dip"),
         ],
     )
     def test_one_profile_schema(self, profile, expected):
