@@ -8,6 +8,7 @@ validation problems exit with status 2 and a field-level message.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -16,12 +17,13 @@ import time
 from pathlib import Path
 
 from .errors import SceneConfigError
-from .geometry import export_mesh_csv
+from .geometry import export_mesh_csv, mesh_perturbation
 from .inverse import export_indicator_csv, export_inversion_trace_csv
 from .scene import build_scene, load_config
 from .solver import eval_farfields, export_density_csv, export_farfield_csv, solve_scattered
 from .suites import (
     DEFAULT_TOLERANCES,
+    refine_scene,
     run_convergence,
     run_identities,
     run_indicator,
@@ -88,6 +90,19 @@ def _write_jsonl(path: Path, lines) -> None:
             fh.write(line + "\n")
 
 
+def _largest_system_panels(subcommand: str, scene) -> int:
+    """Panels of the largest collocation system the verb factors; the
+    factorization cache holds one system, so this bounds its memory."""
+    if subcommand == "maxwell":
+        return 0
+    if subcommand in ("identities", "convergence"):
+        return refine_scene(scene).mesh.n_panels
+    if subcommand == "invert":
+        data_mesh = mesh_perturbation(scene.profile, scene.config.invert["data_target_h"])
+        return max(scene.mesh.n_panels, data_mesh.n_panels)
+    return scene.mesh.n_panels
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.threads < 1:
@@ -116,6 +131,11 @@ def main(argv=None) -> int:
         return 2
 
     if args.dry_run:
+        try:
+            panels = _largest_system_panels(args.subcommand, scene)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         plan = {
             "subcommand": args.subcommand,
             "config": str(args.config),
@@ -128,8 +148,9 @@ def main(argv=None) -> int:
             "lipschitz_constant": scene.profile.max_slope,
             "incidents": len(scene.incidents),
             "farfield_directions": scene.grid.size,
-            # complex n x n collocation matrix plus its LU factors, in MiB
-            "dense_system_mb": round(32 * scene.mesh.n_panels**2 / 2**20, 1),
+            # complex n x n collocation matrix plus its LU factors, in MiB,
+            # for the largest system the verb factors
+            "dense_system_mb": round(32 * panels**2 / 2**20, 1),
             "threads": args.threads,
             "tolerance_scale": args.tolerance_scale,
             "out_dir": str(out_dir),
@@ -234,19 +255,7 @@ def _run_forward(scene, out_dir: Path) -> bool:
         export_farfield_csv(pattern, out_dir / f"farfield_{i:03d}.csv")
         export_density_csv(density, out_dir / f"density_{i:03d}.csv",
                            scene_hash=scene.scene_hash)
-        report_payload.append(
-            {
-                "incident": i,
-                "panel_count": report.panel_count,
-                "condition_estimate": report.condition_estimate,
-                "residual_norm": report.residual_norm,
-                "rhs_norm": report.rhs_norm,
-                "wall_time_s": report.wall_time_s,
-                "cache_hit": report.cache_hit,
-                "assembly_time_s": report.assembly_time_s,
-                "factor_time_s": report.factor_time_s,
-            }
-        )
+        report_payload.append({"incident": i, **dataclasses.asdict(report)})
         print(
             f"[PASS] forward[{i}]: residual {report.residual_norm:.3e} "
             f"(<= 1e-10 * rhs norm {report.rhs_norm:.3e})"

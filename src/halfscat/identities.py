@@ -9,7 +9,7 @@ tautology of the matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -155,14 +155,7 @@ def check_extension(
     resid = np.abs(down - expected)
     worst = int(np.argmax(resid))
     rep = _report("extension", down[worst], expected[worst], scene_meta)
-    return IdentityReport(
-        name=rep.name,
-        lhs=rep.lhs,
-        rhs=rep.rhs,
-        abs_err=float(resid.max()),
-        rel_err=rep.rel_err,
-        scene=rep.scene,
-    )
+    return replace(rep, abs_err=float(resid.max()))
 
 
 def radiation_residuals(field, k: float, xhat: np.ndarray, radii: np.ndarray, step: float = 1e-3):
@@ -197,21 +190,13 @@ def check_radiation_decay(
     resid = radiation_residuals(
         lambda pts: eval_scattered(density, mesh, inc, pts), density.k, xhat, radii
     )
-    if np.all(resid == 0.0):
-        return SlopeReport(
-            name="radiation_decay",
-            slope=0.0,
-            radii=radii,
-            residuals=resid,
-            vacuous=True,
-            scene=dict(scene_meta or {}),
-        )
+    vacuous = bool(np.all(resid == 0.0))
     return SlopeReport(
         name="radiation_decay",
-        slope=fit_loglog_slope(radii, resid),
+        slope=0.0 if vacuous else fit_loglog_slope(radii, resid),
         radii=radii,
         residuals=resid,
-        vacuous=False,
+        vacuous=vacuous,
         scene=dict(scene_meta or {}),
     )
 

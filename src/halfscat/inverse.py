@@ -10,7 +10,7 @@ inversion uses; the grid-hash guard makes that inverse-crime check mandatory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,13 +87,7 @@ class ProfileParams:
         )
 
     def clipped(self, values: np.ndarray) -> "ProfileParams":
-        return ProfileParams(
-            kind=self.kind,
-            values=np.clip(values, self.lower, self.upper),
-            lower=self.lower,
-            upper=self.upper,
-            support_radius=self.support_radius,
-        )
+        return replace(self, values=np.clip(values, self.lower, self.upper))
 
     def to_profile(self) -> SurfaceProfile:
         if self.kind == "bump_hw":
@@ -272,9 +266,6 @@ def invert_profile(
             )
         obj_trace.append(obj)
         params_trace.append(theta.copy())
-        if rel_step < cfg.step_tolerance:
-            stop_reason = "step_tolerance"
-            break
 
     report = InversionReport(
         iterations=len(obj_trace) - 1,

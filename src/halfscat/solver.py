@@ -13,7 +13,6 @@ singular point.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,9 +264,9 @@ class _Factorization:
     factor_time_s: float  # lu_factor and the gecon condition estimate
 
 
-# not locked: the package starts no threads, so one thread uses the cache
-_FACTOR_CACHE: OrderedDict[tuple, _Factorization] = OrderedDict()
-_FACTOR_CACHE_SIZE = 6
+# At most one entry, so memory is bounded by the largest system a run
+# factors.  Not locked: the package starts no threads.
+_FACTOR_CACHE: dict[tuple, _Factorization] = {}
 
 
 def clear_factorization_cache() -> None:
@@ -333,13 +332,14 @@ def _cache_key(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> tuple:
 
 def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Factorization:
     """Assemble and factorize (or fetch from the cache) the collocation system
-    for this mesh/wavenumber/boundary condition."""
+    for this mesh/wavenumber/boundary condition.  A miss drops the cached
+    factorization first, so the old and new systems are never held together."""
     key = _cache_key(mesh, k, bc)
     fact = _FACTOR_CACHE.get(key)
     if fact is not None:
-        _FACTOR_CACHE.move_to_end(key)
         return fact
 
+    _FACTOR_CACHE.clear()
     t0 = time.perf_counter()
     A = _assemble_matrix(mesh, k, bc, _coupling(k, bc))
     t1 = time.perf_counter()
@@ -365,9 +365,6 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
             "combined-field system"
         )
     _FACTOR_CACHE[key] = fact
-    _FACTOR_CACHE.move_to_end(key)
-    while len(_FACTOR_CACHE) > _FACTOR_CACHE_SIZE:
-        _FACTOR_CACHE.popitem(last=False)
     return fact
 
 
@@ -380,8 +377,8 @@ def _right_hand_side(mesh: PanelMesh, inc: IncidentWave) -> np.ndarray:
 def solve_scattered(mesh: PanelMesh, inc: IncidentWave) -> tuple[LayerDensity, SolveReport]:
     """Solve the collocation system for the scattered-field density.
 
-    Point sources must keep a 2h standoff from the surface panels.  The
-    factorization is cached per (mesh, k, bc), so repeated solves on one
+    Point sources must keep a 2h standoff from the surface panels.  The last
+    factorization is cached by (mesh, k, bc), so consecutive solves on one
     scene only pay for the right-hand side and the triangular solves.
     """
     if isinstance(inc, PointSource):

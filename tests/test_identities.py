@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import halfscat.solver as solver_mod
 from halfscat.identities import (
     check_extension,
     check_kernel_radiation_decay,
@@ -14,7 +15,12 @@ from halfscat.identities import (
 )
 from halfscat.incident import BoundaryCondition
 from halfscat.solver import LayerDensity, solve_scattered
-from halfscat.suites import extension_samples, reflected_farfield_triples, symmetry_pairs
+from halfscat.suites import (
+    extension_samples,
+    reflected_farfield_triples,
+    run_identities,
+    symmetry_pairs,
+)
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -168,3 +174,21 @@ class TestRadiationDecay:
 def test_relative_error_floor():
     assert relative_error(0.0, 0.0) == 0.0
     assert relative_error(1.0, 0.0) == 1.0
+
+
+def test_identity_suite_factors_each_mesh_once(flat_scene, monkeypatch):
+    """The h/2 check runs after every scene-mesh solve, so the one cached
+    factorization is built once per mesh; its result still comes fourth."""
+    assembled = []
+    assemble = solver_mod._assemble_matrix
+
+    def counting(mesh, *args):
+        assembled.append(mesh.n_panels)
+        return assemble(mesh, *args)
+
+    solver_mod.clear_factorization_cache()
+    monkeypatch.setattr(solver_mod, "_assemble_matrix", counting)
+    results, reports = run_identities(flat_scene)
+    assert len(assembled) == 2
+    assert results[3].name == "mixed_reciprocity_monotone"
+    assert reports[3].name == "mixed_reciprocity"

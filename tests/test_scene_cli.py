@@ -199,6 +199,15 @@ class TestCli:
         assert main(["forward", "--config", bump, "--dry-run"]) == 0
         slope = build_scene(load_config(bump)).profile.max_slope
         assert slope > 0 and f"lipschitz_constant: {slope}\n" in capsys.readouterr().out
+        # identities factors the h/2 mesh too, so that system sets the size
+        assert main(["identities", "--config", flat_config, "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        fine = refine_scene(build_scene(load_config(flat_config))).mesh.n_panels
+        assert fine > panels and f"dense_system_mb: {round(32 * fine**2 / 2**20, 1)}\n" in out
+        coarse_data = write_config(tmp_path, canonical_config(invert={"data_target_h": 0.5}),
+                                   name="coarse_data.yaml")
+        assert main(["invert", "--config", coarse_data, "--dry-run"]) == 2
+        assert "target_h=0.5 too coarse" in capsys.readouterr().err
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, canonical_config(bc="robin"))

@@ -103,6 +103,14 @@ class TestSolveContract:
             get_factorization(small_bump_mesh, 2.0, D)
         assert not solver_mod._FACTOR_CACHE
 
+    def test_cache_holds_one_factorization(self, small_bump_mesh, flat_mesh):
+        pw = PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D)
+        solve_scattered(small_bump_mesh, pw)
+        solve_scattered(flat_mesh, pw)
+        assert list(solver_mod._FACTOR_CACHE) == [solver_mod._cache_key(flat_mesh, 2.0, D)]
+        _, report = solve_scattered(small_bump_mesh, pw)
+        assert not report.cache_hit
+
     @pytest.mark.parametrize("bc", [D, N])
     def test_one_norm_bit_equal_to_numpy(self, small_bump_mesh, bc):
         A = solver_mod._assemble_matrix(small_bump_mesh, 2.0, bc, solver_mod._coupling(2.0, bc))
