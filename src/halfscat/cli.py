@@ -24,6 +24,7 @@ from .solver import eval_farfields, export_density_csv, export_farfield_csv, sol
 from .suites import (
     DEFAULT_TOLERANCES,
     refine_scene,
+    require_invertible,
     run_convergence,
     run_identities,
     run_indicator,
@@ -98,6 +99,7 @@ def _largest_system_panels(subcommand: str, scene) -> int:
     if subcommand in ("identities", "convergence"):
         return refine_scene(scene).mesh.n_panels
     if subcommand == "invert":
+        require_invertible(scene)
         data_mesh = mesh_perturbation(scene.profile, scene.config.invert["data_target_h"])
         return max(scene.mesh.n_panels, data_mesh.n_panels)
     return scene.mesh.n_panels
@@ -130,39 +132,12 @@ def main(argv=None) -> int:
         print(f"error: invalid scene: {exc}", file=sys.stderr)
         return 2
 
-    if args.dry_run:
-        try:
-            panels = _largest_system_panels(args.subcommand, scene)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        plan = {
-            "subcommand": args.subcommand,
-            "config": str(args.config),
-            "scene_hash": scene.scene_hash,
-            "k": scene.k,
-            "bc": scene.bc.value,
-            "mesh_panels": scene.mesh.n_panels,
-            "mesh_h": scene.mesh.h,
-            # max slope of the height function, the paper's Lipschitz constant
-            "lipschitz_constant": scene.profile.max_slope,
-            "incidents": len(scene.incidents),
-            "farfield_directions": scene.grid.size,
-            # complex n x n collocation matrix plus its LU factors, in MiB,
-            # for the largest system the verb factors
-            "dense_system_mb": round(32 * panels**2 / 2**20, 1),
-            "threads": args.threads,
-            "tolerance_scale": args.tolerance_scale,
-            "out_dir": str(out_dir),
-        }
-        print("dry run; execution plan:")
-        for key, val in plan.items():
-            print(f"  {key}: {val}")
-        return 0
-
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
+        if args.dry_run:
+            _print_plan(args, scene, out_dir)
+            return 0
+        out_dir.mkdir(parents=True, exist_ok=True)
         ok = _dispatch(args.subcommand, scene, tol, out_dir)
     except SceneConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
@@ -173,6 +148,32 @@ def main(argv=None) -> int:
     print(f"scene {scene.scene_hash}: {'all checks passed' if ok else 'TOLERANCE BREACH'} "
           f"({time.perf_counter() - t0:.1f}s)")
     return 0 if ok else 1
+
+
+def _print_plan(args, scene, out_dir: Path) -> None:
+    panels = _largest_system_panels(args.subcommand, scene)
+    plan = {
+        "subcommand": args.subcommand,
+        "config": str(args.config),
+        "scene_hash": scene.scene_hash,
+        "k": scene.k,
+        "bc": scene.bc.value,
+        "mesh_panels": scene.mesh.n_panels,
+        "mesh_h": scene.mesh.h,
+        # max slope of the height function, the paper's Lipschitz constant
+        "lipschitz_constant": scene.profile.max_slope,
+        "incidents": len(scene.incidents),
+        "farfield_directions": scene.grid.size,
+        # complex n x n collocation matrix plus its LU factors, in MiB,
+        # for the largest system the verb factors
+        "dense_system_mb": round(32 * panels**2 / 2**20, 1),
+        "threads": args.threads,
+        "tolerance_scale": args.tolerance_scale,
+        "out_dir": str(out_dir),
+    }
+    print("dry run; execution plan:")
+    for key, val in plan.items():
+        print(f"  {key}: {val}")
 
 
 def _dispatch(subcommand: str, scene, tol, out_dir: Path) -> bool:

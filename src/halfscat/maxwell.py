@@ -175,27 +175,28 @@ def check_silver_muller(
 # ---------------------------------------------------------------------------
 # finite-difference oracles (step 1e-4/k, central differences)
 
-def fd_curl(field, x: np.ndarray, k: float):
-    """Central-difference curl of a vector field callable at a single point."""
+def _fd_jacobian(field, x: np.ndarray, k: float) -> np.ndarray:
+    """Central-difference Jacobian ``J[i, j] = d F_i / d x_j`` of a vector field
+    callable at a single point, with step ``1e-4 / k``."""
     x = np.asarray(x, dtype=float)
     h = 1e-4 / k
-    J = np.empty((3, 3), dtype=complex)  # J[i, j] = d F_i / d x_j
+    J = np.empty((3, 3), dtype=complex)
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
         J[:, j] = (field(x + e) - field(x - e)) / (2 * h)
+    return J
+
+
+def fd_curl(field, x: np.ndarray, k: float):
+    """Central-difference curl of a vector field callable at a single point."""
+    J = _fd_jacobian(field, x, k)
     return np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
 
 
 def fd_divergence(field, x: np.ndarray, k: float) -> complex:
-    x = np.asarray(x, dtype=float)
-    h = 1e-4 / k
-    out = 0.0 + 0.0j
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        out += (field(x + e)[j] - field(x - e)[j]) / (2 * h)
-    return out
+    J = _fd_jacobian(field, x, k)
+    return J[0, 0] + J[1, 1] + J[2, 2]
 
 
 def maxwell_fd_residuals(E_func, H_func, x: np.ndarray, k: float):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from halfscat.incident import PlaneWave, PointSource
 from halfscat.kernels import farfield_matrix
 from halfscat.scene import build_scene, load_config, validate_config
 from halfscat.solver import eval_farfield, solve_scattered
-from halfscat.suites import DEFAULT_TOLERANCES, refine_scene
+from halfscat.suites import DEFAULT_TOLERANCES, at_least, at_most, refine_scene, within
 
 
 BUMP = {"kind": "gaussian_bump", "R": 1.0, "amplitude": 0.3, "width": 0.25}
@@ -208,6 +209,13 @@ class TestCli:
                                    name="coarse_data.yaml")
         assert main(["invert", "--config", coarse_data, "--dry-run"]) == 2
         assert "target_h=0.5 too coarse" in capsys.readouterr().err
+        # the dry run refuses a scene the invert experiment cannot use, as the run does
+        assert main(["invert", "--config", flat_config, "--dry-run"]) == 2
+        dry_err = capsys.readouterr().err
+        assert dry_err == ("error: invalid config: profile.kind: invert experiment needs a "
+                           "gaussian_bump scene\n")
+        assert main(["invert", "--config", flat_config, "--out", str(tmp_path / "inv")]) == 2
+        assert capsys.readouterr().err == dry_err
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, canonical_config(bc="robin"))
@@ -369,6 +377,23 @@ class TestCli:
         assert main(["maxwell", "--config", flat_config, "--out", str(tmp_path / "flag")]) == 0
         assert (tmp_path / "flag" / "maxwell.jsonl").exists()
 
+    def test_tolerance_breach_prints_the_compared_bound(self, tmp_path, capsys):
+        code = main(["maxwell", "--config", str(CANONICAL_YAML), "--out", str(tmp_path / "mx"),
+                     "--tolerance-scale", "1e-9"])
+        assert code == 1
+        lines = [re.fullmatch(r"\[(PASS|FAIL)\] \w+: (\S+) \((.*)\)", line)
+                 for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert [m.group(3) for m in lines] == [
+            "relative tangential residual <= 1e-21 at 200 plane samples",
+            "E and H reflection residuals <= 1e-21 relative",
+            "curl-system FD residual <= 1e-14",
+            "divergence FD residual <= 1e-14",
+            "|H x x - r E| log-log slope <= -1",
+        ]
+        for m in lines:
+            bound = float(re.search(r"<= (\S+)", m.group(3)).group(1))
+            assert (m.group(1) == "PASS") == (float(m.group(2)) <= bound)
+
     def test_bad_flags(self, flat_config, capsys):
         assert main(["maxwell", "--config", flat_config, "--threads", "0"]) == 2
         for scale in ("0", "inf", "nan"):
@@ -388,15 +413,27 @@ class TestSuiteHelpers:
             "reflection": 2e-12,
             "maxwell_fd": 2e-5,
             "sm_slope_margin": 0.4,
-            "sm_E_halfwidth": 0.4,
             "indicator_ratio": 5.0,
             "offline_ratio": 4.0,
             "invert_param_rel": 0.1,
             "convergence": 0.1,
-            "flat_null": 2e-12,
         }
         assert dataclasses.asdict(DEFAULT_TOLERANCES.scaled(2.0)) == expected
         assert DEFAULT_TOLERANCES.scaled(1.0) is DEFAULT_TOLERANCES
+
+    def test_check_helpers_print_the_compared_bound(self):
+        nan = float("nan")
+        for helper, template in ((at_most, "x <= {:g} here"), (at_least, "x >= {:.3e}")):
+            at_bound = helper("c", 0.25, 0.25, template)
+            assert at_bound.passed and at_bound.requirement == template.format(0.25)
+            assert not helper("c", nan, 0.25, template).passed
+        assert not at_most("c", 0.3, 0.25, "{}").passed
+        assert not at_least("c", 0.2, 0.25, "{}").passed
+        for edge in (-2.2, -1.8):
+            res = within("slope", edge, -2.2, -1.8)
+            assert res.passed and res.requirement == "slope in [-2.2, -1.8]"
+        assert not within("slope", -1.7, -2.2, -1.8).passed
+        assert not within("slope", nan, -2.2, -1.8).passed
 
     def test_refined_scene_metadata(self, flat_scene):
         fine = refine_scene(flat_scene)
