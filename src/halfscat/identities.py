@@ -9,7 +9,7 @@ tautology of the matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class IdentityReport:
     rhs: complex
     abs_err: float
     rel_err: float
-    scene: dict = field(default_factory=dict)
+    scene_hash: str = ""
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -49,7 +49,7 @@ class IdentityReport:
                 "rhs_im": self.rhs.imag,
                 "abs_err": self.abs_err,
                 "rel_err": self.rel_err,
-                "scene_hash": self.scene.get("scene_hash", ""),
+                "scene_hash": self.scene_hash,
             }
         )
 
@@ -61,7 +61,7 @@ class SlopeReport:
     radii: np.ndarray
     residuals: np.ndarray
     vacuous: bool
-    scene: dict = field(default_factory=dict)
+    scene_hash: str = ""
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -71,12 +71,12 @@ class SlopeReport:
                 "r_min": float(self.radii[0]),
                 "r_max": float(self.radii[-1]),
                 "vacuous": self.vacuous,
-                "scene_hash": self.scene.get("scene_hash", ""),
+                "scene_hash": self.scene_hash,
             }
         )
 
 
-def _report(name, lhs, rhs, scene) -> IdentityReport:
+def _report(name, lhs, rhs, scene_hash) -> IdentityReport:
     lhs = complex(lhs)
     rhs = complex(rhs)
     return IdentityReport(
@@ -85,7 +85,7 @@ def _report(name, lhs, rhs, scene) -> IdentityReport:
         rhs=rhs,
         abs_err=abs(lhs - rhs),
         rel_err=relative_error(lhs, rhs),
-        scene=dict(scene or {}),
+        scene_hash=scene_hash,
     )
 
 
@@ -101,7 +101,7 @@ def check_mixed_reciprocity(scene, d: np.ndarray, z: np.ndarray) -> IdentityRepo
     ps = PointSource(z=z, k=scene.k, bc=scene.bc)
     dens_ps, _ = solve_scattered(scene.mesh, ps)
     lhs = 4 * np.pi * eval_farfield(dens_ps, scene.mesh, DirectionGrid.single(-d)).values[0]
-    return _report("mixed_reciprocity", lhs, rhs, scene.metadata)
+    return _report("mixed_reciprocity", lhs, rhs, scene.scene_hash)
 
 
 def check_point_symmetry(scene, x: np.ndarray, y: np.ndarray) -> IdentityReport:
@@ -116,11 +116,11 @@ def check_point_symmetry(scene, x: np.ndarray, y: np.ndarray) -> IdentityReport:
     src_x = PointSource(z=x, k=scene.k, bc=scene.bc)
     dens_x, _ = solve_scattered(scene.mesh, src_x)
     rhs = eval_scattered(dens_x, scene.mesh, src_x, y)
-    return _report("point_symmetry", lhs, rhs, scene.metadata)
+    return _report("point_symmetry", lhs, rhs, scene.scene_hash)
 
 
 def check_reflected_farfield(
-    z: np.ndarray, d: np.ndarray, k: float, bc: BoundaryCondition, scene_meta: dict | None = None
+    z: np.ndarray, d: np.ndarray, k: float, bc: BoundaryCondition, scene_hash: str = ""
 ) -> IdentityReport:
     """Closed-form identity for the reflected wave alone: 4*pi times the image
     source's far-field coefficient at -d equals the reflected plane wave at z.
@@ -134,27 +134,26 @@ def check_reflected_farfield(
     # reflected plane wave evaluated at the source position
     d_spec = d * MIRROR
     rhs = s * np.exp(1j * k * np.dot(d_spec, z))
-    return _report("reflected_farfield", lhs, rhs, scene_meta)
+    return _report("reflected_farfield", lhs, rhs, scene_hash)
 
 
 def check_extension(
     density: LayerDensity,
     mesh,
-    bc: BoundaryCondition,
     samples: np.ndarray,
-    scene_meta: dict | None = None,
+    scene_hash: str = "",
 ) -> IdentityReport:
     """Evaluate the representation above and below the plane at mirrored
-    sample pairs; the odd (sound-soft) or even (sound-hard) extension makes
-    the two agree up to sign.  Reports the worst pair; abs_err is the max
-    residual over all samples."""
+    sample pairs; the odd (sound-soft) or even (sound-hard) extension, as
+    ``density.bc`` says, makes the two agree up to sign.  Reports the worst
+    pair; abs_err is the max residual over all samples."""
     samples = np.asarray(samples, dtype=float).reshape(-1, 3)
     up = eval_scattered(density, mesh, None, samples)
     down = eval_scattered(density, mesh, None, samples * MIRROR)
-    expected = -up if bc is BoundaryCondition.DIRICHLET else up
+    expected = -up if density.bc is BoundaryCondition.DIRICHLET else up
     resid = np.abs(down - expected)
     worst = int(np.argmax(resid))
-    rep = _report("extension", down[worst], expected[worst], scene_meta)
+    rep = _report("extension", down[worst], expected[worst], scene_hash)
     return replace(rep, abs_err=float(resid.max()))
 
 
@@ -180,7 +179,7 @@ def check_radiation_decay(
     inc,
     xhat: np.ndarray,
     n_radii: int = 12,
-    scene_meta: dict | None = None,
+    scene_hash: str = "",
 ) -> SlopeReport:
     """Sommerfeld-residual decay of the solved field along a ray: least-squares
     log-log slope over 12 radii in [10R, 100R]; the far-field expansion forces
@@ -197,7 +196,7 @@ def check_radiation_decay(
         radii=radii,
         residuals=resid,
         vacuous=vacuous,
-        scene=dict(scene_meta or {}),
+        scene_hash=scene_hash,
     )
 
 
@@ -214,7 +213,6 @@ def check_kernel_radiation_decay(
         radii=radii,
         residuals=resid,
         vacuous=False,
-        scene={},
     )
 
 

@@ -118,6 +118,8 @@ class IndicatorMap:
 
 
 REGULARIZATION_SCALE = 1e-4  # default alpha = this * ||data||^2 / ||init||^2
+MAX_HALVINGS = 20  # line-search halvings before a Gauss-Newton step is rejected
+STEP_TOLERANCE = 1e-4  # stop once the relative step drops below this
 
 
 @dataclass(frozen=True)
@@ -125,17 +127,17 @@ class InversionConfig:
     regularization: float | None = None  # None: REGULARIZATION_SCALE * ||data||^2 / ||init||^2
     max_iterations: int = 25
     fd_step: float = 1e-5
-    max_halvings: int = 20
-    step_tolerance: float = 1e-4
-    noise_level: float = 0.0
     target_h: float = 0.1
     data_grid_hash: str = ""
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.max_halvings < 1:
-            raise ValueError("iteration bounds must be positive")
-        if not (self.fd_step > 0 and self.step_tolerance > 0 and self.target_h > 0):
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+        if not (self.fd_step > 0 and self.target_h > 0):
             raise ValueError("steps and mesh size must be positive")
+        alpha = self.regularization
+        if alpha is not None and not (np.isfinite(alpha) and alpha >= 0):
+            raise ValueError(f"regularization must be None or finite and >= 0, got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,7 @@ def invert_profile(
 
     The Jacobian is finite-difference column by column; steps are halved until
     the objective decreases; iteration stops when the relative step drops
-    below cfg.step_tolerance or the iteration cap is hit.  Refuses to run when
+    below STEP_TOLERANCE or the iteration cap is hit.  Refuses to run when
     the data's mesh discretization matches the inversion mesh (inverse crime).
     """
     data = np.asarray(data, dtype=complex).ravel()
@@ -244,13 +246,13 @@ def invert_profile(
         delta = np.linalg.solve(lhs, -grad)
 
         rel_step = np.linalg.norm(delta) / max(np.linalg.norm(theta), 1e-30)
-        if rel_step < cfg.step_tolerance:
+        if rel_step < STEP_TOLERANCE:
             stop_reason = "step_tolerance"
             break
 
         t = 1.0
         accepted = False
-        for _ in range(cfg.max_halvings):
+        for _ in range(MAX_HALVINGS):
             candidate = np.clip(theta + t * delta, init.lower, init.upper)
             cand_resid = F(candidate) - data
             cand_obj = _objective(cand_resid, candidate, theta_ref, alpha)
@@ -261,7 +263,7 @@ def invert_profile(
             t *= 0.5
         if not accepted:
             raise RuntimeError(
-                f"Gauss-Newton step rejected after {cfg.max_halvings} halvings "
+                f"Gauss-Newton step rejected after {MAX_HALVINGS} halvings "
                 f"(objective stuck at {obj:.6e})"
             )
         obj_trace.append(obj)

@@ -143,16 +143,16 @@ def grad_G_x(kern: GreenKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # (..., 3) gradient is formed.  The *_terms forms take the radial factors and
 # displacement components already computed.
 
-def _combined_terms(radial, d, nu_x, nu_y, eta):
+def _combined_terms(radial, d, nu_x, nu_y, k):
     phi, c, phi_img, c_img = radial
     d0, d1, d2, e2 = d
     planar = d0 * nu_y[0] + d1 * nu_y[1]
     # grad_y G = -grad_x Phi(x,y) + M grad_x Phi(x,y') for the odd kernel
     dl = -c * (planar + d2 * nu_y[2]) + c_img * (planar - e2 * nu_y[2])
-    return dl - 1j * eta * (phi - phi_img)
+    return dl - 1j * k * (phi - phi_img)
 
 
-def _adjoint_terms(radial, d, nu_x, nu_y, eta):
+def _adjoint_terms(radial, d, nu_x, nu_y, k):
     _, c, _, c_img = radial
     d0, d1, d2, e2 = d
     planar = d0 * nu_x[0] + d1 * nu_x[1]
@@ -165,16 +165,16 @@ _COLLOCATION_TERMS = {
 }
 
 
-def collocation(bc: BoundaryCondition, x, nu_x, y, nu_y, k, eta):
-    """Collocation integrand: the combined kernel [nu_y . grad_y G - i eta G]
-    of the odd kernel (sound-soft), or the adjoint double layer
-    nu_x . grad_x G of the even kernel (sound-hard).  Every argument is given
-    by its three components; the sound-soft form does not read nu_x."""
+def collocation(bc: BoundaryCondition, x, nu_x, y, nu_y, k):
+    """Collocation integrand: the combined kernel [nu_y . grad_y G - i k G]
+    of the odd kernel (sound-soft, coupling eta = k), or the adjoint double
+    layer nu_x . grad_x G of the even kernel (sound-hard).  Every argument is
+    given by its three components; the sound-soft form does not read nu_x."""
     d = _displacements(x, y)
-    return _COLLOCATION_TERMS[bc](_radial_pair(d, k), d, nu_x, nu_y, eta)
+    return _COLLOCATION_TERMS[bc](_radial_pair(d, k), d, nu_x, nu_y, k)
 
 
-def collocation_tiles(bc: BoundaryCondition, points, normals, k, eta, block: int):
+def collocation_tiles(bc: BoundaryCondition, points, normals, k, block: int):
     """Collocation integrands with x and y both running over ``points`` (n, 3),
     as (rows, cols, values) tiles of edge ``block`` that cover the n x n
     matrix once.
@@ -194,26 +194,23 @@ def collocation_tiles(bc: BoundaryCondition, points, normals, k, eta, block: int
             j = slice(lo_j, min(lo_j + block, n))
             d = _displacements(pts[:, i, None], pts[:, None, j])
             radial = _radial_pair(d, k)
-            yield i, j, terms(radial, d, nrm[:, i, None], nrm[:, None, j], eta)
+            yield i, j, terms(radial, d, nrm[:, i, None], nrm[:, None, j], k)
             if lo_j > lo:
                 d = _displacements(pts[:, j, None], pts[:, None, i])
                 radial = tuple(f.T for f in radial)
-                yield j, i, terms(radial, d, nrm[:, j, None], nrm[:, None, i], eta)
+                yield j, i, terms(radial, d, nrm[:, j, None], nrm[:, None, i], k)
 
 
-def representation_dirichlet(x, y, nu_y, k, eta):
-    """Potential integrand of the combined ansatz at off-surface points, all
-    arguments (..., 3) arrays."""
-    return collocation(
-        BoundaryCondition.DIRICHLET,
-        _components(x), None, _components(y), _components(nu_y), k, eta,
-    )
-
-
-def representation_neumann(x, y, nu_y, k, eta):
-    """Potential integrand of the single-layer ansatz: the even kernel G."""
-    phi, _, phi_img, _ = _radial_pair(_displacements(_components(x), _components(y)), k)
-    return phi + phi_img
+def representation(bc: BoundaryCondition, x, y, nu_y, k):
+    """Potential integrand of the ansatz at off-surface points x, all
+    arguments (..., 3) arrays: the combined kernel of the odd kernel
+    (sound-soft), or the single layer, the even kernel G (sound-hard)."""
+    d = _displacements(_components(x), _components(y))
+    radial = _radial_pair(d, k)
+    if bc is BoundaryCondition.NEUMANN:
+        phi, _, phi_img, _ = radial
+        return phi + phi_img
+    return _combined_terms(radial, d, None, _components(nu_y), k)
 
 
 def farfield_kernel(kern: GreenKernel, xhat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -246,14 +243,13 @@ def farfield_matrix(
     y: np.ndarray,
     weights: np.ndarray,
     normals: np.ndarray | None = None,
-    eta: float = 0.0,
 ) -> np.ndarray:
     """Far-field operator from source points y (n, 3) to directions xhat (N, 3),
     with the quadrature weights (n,) folded into the columns.
 
     Without normals the entries are farfield_kernel(xhat_i, y_j) * w_j (single
     layer); with normals they are the combined layer
-    (nu_j . farfield_kernel_grad_y - i eta farfield_kernel)(xhat_i, y_j) * w_j.
+    (nu_j . farfield_kernel_grad_y - i k farfield_kernel)(xhat_i, y_j) * w_j.
     Since xhat.y' = (M xhat).y, the phases and the normal contractions are
     GEMMs, and each entry costs two complex exponentials."""
     xhat = np.asarray(xhat, dtype=float)
@@ -265,8 +261,8 @@ def farfield_matrix(
     ph_img = np.exp(-1j * k * (xhat_img @ y.T))
     if normals is not None:
         nu_t = np.asarray(normals, dtype=float).T
-        ph *= -1j * (k * (xhat @ nu_t) + eta)
-        ph_img *= -1j * (k * (xhat_img @ nu_t) + eta)
+        ph *= -1j * (k * (xhat @ nu_t) + k)
+        ph_img *= -1j * (k * (xhat_img @ nu_t) + k)
     ph_img *= s
     ph += ph_img
     ph *= np.asarray(weights, dtype=float) / (4.0 * np.pi)

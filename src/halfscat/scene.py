@@ -196,16 +196,6 @@ class Scene:
     def scene_hash(self) -> str:
         return self.config.scene_hash
 
-    @property
-    def metadata(self) -> dict:
-        return {
-            "scene_hash": self.scene_hash,
-            "k": self.k,
-            "bc": self.bc.value,
-            "mesh_h": self.mesh.h,
-            "mesh_hash": self.mesh.content_hash,
-        }
-
 
 def _build_incident(spec: dict, k: float, bc: BoundaryCondition, profile: SurfaceProfile,
                     where: str) -> IncidentWave:

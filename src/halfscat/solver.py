@@ -28,8 +28,7 @@ from .kernels import (
     collocation,
     collocation_tiles,
     farfield_matrix,
-    representation_dirichlet,
-    representation_neumann,
+    representation,
 )
 from .util import scene_comment, write_table
 
@@ -43,7 +42,7 @@ _ROW_BLOCK = 128
 @dataclass(frozen=True)
 class LayerDensity:
     """Complex panel coefficients of the boundary ansatz; the boundary
-    condition fixes the formulation and its coupling ``eta``."""
+    condition fixes the formulation (and k its coupling)."""
 
     coefficients: np.ndarray
     bc: BoundaryCondition
@@ -55,10 +54,6 @@ class LayerDensity:
             raise ValueError("layer density has non-finite entries")
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
-
-    @property
-    def eta(self) -> float:
-        return _coupling(self.k, self.bc)
 
 
 @dataclass(frozen=True)
@@ -130,18 +125,6 @@ class FarFieldPattern:
     @property
     def directions(self) -> np.ndarray:
         return self.grid.directions
-
-
-def _coupling(k: float, bc: BoundaryCondition) -> float:
-    """eta of the ansatz: k for the sound-soft combined field, 0 for the
-    sound-hard single layer."""
-    return k if bc is BoundaryCondition.DIRICHLET else 0.0
-
-
-_REPR_FUNCS = {
-    BoundaryCondition.DIRICHLET: representation_dirichlet,
-    BoundaryCondition.NEUMANN: representation_neumann,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +256,7 @@ def clear_factorization_cache() -> None:
     _FACTOR_CACHE.clear()
 
 
-def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition, eta: float) -> np.ndarray:
+def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.ndarray:
     """The collocation matrix, built in pieces of about _ROW_BLOCK**2
     integrand entries: the far block in square tiles, then the self and
     vertex-adjacent panels in chunks of pairs, by graded subdivision toward
@@ -282,7 +265,7 @@ def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition, eta: floa
     areas = mesh.areas
 
     A = np.empty((n, n), dtype=complex)
-    for rows, cols, vals in collocation_tiles(bc, mesh.centroids, mesh.normals, k, eta, _ROW_BLOCK):
+    for rows, cols, vals in collocation_tiles(bc, mesh.centroids, mesh.normals, k, _ROW_BLOCK):
         np.multiply(vals, areas[cols], out=A[rows, cols])
 
     cents = np.ascontiguousarray(mesh.centroids.T)
@@ -297,7 +280,7 @@ def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition, eta: floa
         p_sing = _closest_points_on_triangles(x, tri[0], tri[1], tri[2])
         leaf_cents, leaf_areas = _graded_leaves(tri, p_sing)
         vals = collocation(
-            bc, x[:, :, None], normals[:, rows, None], leaf_cents, normals[:, cols, None], k, eta
+            bc, x[:, :, None], normals[:, rows, None], leaf_cents, normals[:, cols, None], k
         )
         A[rows, cols] = np.sum(vals * leaf_areas, axis=1)
 
@@ -341,7 +324,7 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
 
     _FACTOR_CACHE.clear()
     t0 = time.perf_counter()
-    A = _assemble_matrix(mesh, k, bc, _coupling(k, bc))
+    A = _assemble_matrix(mesh, k, bc)
     t1 = time.perf_counter()
     lu, piv = scipy.linalg.lu_factor(A)
     cond = _condition_estimate(A, lu)
@@ -448,10 +431,11 @@ def eval_scattered(
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x.reshape(-1, 3)
+    if not np.isfinite(pts).all():
+        raise ValueError("evaluation points must be finite")
     _check_eval_distance(mesh, pts)
-    rep = _REPR_FUNCS[density.bc]
-    vals = rep(pts[:, None, :], mesh.centroids[None, :, :], mesh.normals[None, :, :],
-               density.k, density.eta)
+    vals = representation(density.bc, pts[:, None, :], mesh.centroids[None, :, :],
+                          mesh.normals[None, :, :], density.k)
     out = (vals * mesh.areas) @ density.coefficients
     return out[0] if single else out
 
@@ -481,7 +465,7 @@ def eval_farfields(
     values = np.empty((len(densities), grid.size), dtype=complex)
     for lo in range(0, grid.size, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, grid.size)
-        F = farfield_matrix(kern, dirs[lo:hi], mesh.centroids, mesh.areas, normals, first.eta)
+        F = farfield_matrix(kern, dirs[lo:hi], mesh.centroids, mesh.areas, normals)
         values[:, lo:hi] = (F @ sigma).T
     values.setflags(write=False)
     return [

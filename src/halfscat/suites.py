@@ -32,13 +32,12 @@ from .inverse import (
     forward_map,
     invert_profile,
 )
-from .kernels import BoundaryCondition
+from .kernels import MIRROR, BoundaryCondition
 from .maxwell import (
     DipoleSource,
     check_reflection_principle,
     check_silver_muller,
-    eval_dipole,
-    eval_image_field,
+    eval_total_field,
     fd_divergence,
     maxwell_fd_residuals,
     pec_residual,
@@ -121,7 +120,7 @@ def within(name: str, value, lo, hi) -> CheckResult:
 def refine_scene(scene, factor: float = 0.5):
     """The scene on a mesh of ``factor`` times its target panel size.  Only the
     mesh changes: ``config`` still describes the original scene, so the scene
-    hash is kept and ``metadata`` reports the new mesh."""
+    hash is kept."""
     target = scene.config.mesh["target_h"] * factor
     return replace(scene, mesh=mesh_perturbation(scene.profile, target))
 
@@ -221,16 +220,16 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     worst = 0.0
     for bc in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
         for z, d, k in reflected_farfield_triples(scene.seed):
-            rep = check_reflected_farfield(z, d, k, bc, scene.metadata)
+            rep = check_reflected_farfield(z, d, k, bc, scene.scene_hash)
             worst = max(worst, rep.rel_err)
     reports.append(IdentityReport(name="reflected_farfield_worst", lhs=0.0, rhs=0.0,
-                                  abs_err=worst, rel_err=worst, scene=scene.metadata))
+                                  abs_err=worst, rel_err=worst, scene_hash=scene.scene_hash))
     results.append(at_most("reflected_farfield", worst, tol.reflected_farfield,
                            "rel_err <= {:g} on 100 triples, both bcs"))
 
     inc = scene.incidents[0]
     density, _ = solve_scattered(scene.mesh, inc)
-    ext = check_extension(density, scene.mesh, scene.bc, extension_samples(scene), scene.metadata)
+    ext = check_extension(density, scene.mesh, extension_samples(scene), scene.scene_hash)
     reports.append(ext)
     results.append(at_most("extension", ext.abs_err, tol.extension,
                            "max mirrored residual <= {:g}"))
@@ -238,7 +237,7 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     lo = tol.decay_slope_center - tol.decay_slope_halfwidth
     hi = tol.decay_slope_center + tol.decay_slope_halfwidth
     decay = check_radiation_decay(density, scene.mesh, inc, np.array([0.0, 0.0, 1.0]),
-                                  scene_meta=scene.metadata)
+                                  scene_hash=scene.scene_hash)
     reports.append(decay)
     check = within("radiation_decay", decay.slope, lo, hi)
     # a scene that scatters nothing has no decay to fit and passes vacuously
@@ -274,7 +273,7 @@ def run_maxwell(k: float, dipole_y, dipole_p, seed: int = 0,
     box = rng.normal(size=(100, 3))
     box[:, 2] = np.abs(box[:, 2]) + 0.2
     keep = np.linalg.norm(box - src.y, axis=1) > 0.2
-    keep &= np.linalg.norm(box - src.y * np.array([1, 1, -1]), axis=1) > 0.2
+    keep &= np.linalg.norm(box - src.y * MIRROR, axis=1) > 0.2
     rep = check_reflection_principle(src, GROUND_PLANE, box[keep])
     res_rel = max(rep.max_E_residual, rep.max_H_residual) / rep.field_scale
     results.append(at_most("reflection_principle", res_rel, tol.reflection,
@@ -287,11 +286,11 @@ def run_maxwell(k: float, dipole_y, dipole_p, seed: int = 0,
         if np.linalg.norm(x - src.y) < 0.3:
             continue
 
-        def E_tot(q, s=src):
-            return eval_dipole(s, q).E + eval_image_field(s, GROUND_PLANE, q).E
+        def E_tot(q):
+            return eval_total_field(src, GROUND_PLANE, q).E
 
-        def H_tot(q, s=src):
-            return eval_dipole(s, q).H + eval_image_field(s, GROUND_PLANE, q).H
+        def H_tot(q):
+            return eval_total_field(src, GROUND_PLANE, q).H
 
         r1, r2 = maxwell_fd_residuals(E_tot, H_tot, x, src.k)
         worst_fd = max(worst_fd, r1, r2)
@@ -377,7 +376,6 @@ def run_invert(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
         regularization=cfg["regularization"],
         max_iterations=cfg["max_iterations"],
         fd_step=cfg["fd_step"],
-        noise_level=cfg["noise_level"],
         target_h=scene.config.mesh["target_h"],
         data_grid_hash=data_grid_hash,
     )

@@ -126,9 +126,7 @@ class TestExtension:
     def test_mirror_extension_exact(self, scene_name, request):
         scene = request.getfixturevalue(scene_name)
         density, _ = solve_scattered(scene.mesh, scene.incidents[0])
-        rep = check_extension(
-            density, scene.mesh, scene.bc, extension_samples(scene), scene.metadata
-        )
+        rep = check_extension(density, scene.mesh, extension_samples(scene), scene.scene_hash)
         assert rep.abs_err <= 1e-12
 
     def test_zero_density(self, canonical_dirichlet):
@@ -138,7 +136,7 @@ class TestExtension:
             bc=D,
             k=2.0,
         )
-        rep = check_extension(density, mesh, D, extension_samples(canonical_dirichlet))
+        rep = check_extension(density, mesh, extension_samples(canonical_dirichlet))
         assert rep.abs_err == 0.0
 
 

@@ -111,6 +111,17 @@ class TestBlowUpIndicator:
             blow_up_indicator(canonical_dirichlet, np.array([[0.0, 0.0, -0.5]]))
 
 
+@pytest.mark.parametrize("alpha", [-1.0, -1e-300, np.nan, np.inf])
+def test_regularization_must_be_finite_and_nonnegative(alpha):
+    with pytest.raises(ValueError, match="regularization"):
+        InversionConfig(regularization=alpha)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.0, 1e-3])
+def test_regularization_accepts_none_and_finite_nonnegative(alpha):
+    assert InversionConfig(regularization=alpha).regularization == alpha
+
+
 class TestInvertProfile:
     def test_init_at_truth_is_fixed_point(self):
         # data generated on the inversion mesh itself (guard hash omitted) so

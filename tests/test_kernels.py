@@ -228,7 +228,7 @@ class TestFarFieldMatrix:
         kern = GreenKernel(k=2.0, bc=bc)
         normals = nu if combined else None
         assert self.grid.size > _ROW_BLOCK
-        F = farfield_matrix(kern, self.grid.directions, y, w, normals, eta=2.0)
+        F = farfield_matrix(kern, self.grid.directions, y, w, normals)
         ref = _pointwise_farfield_matrix(kern, self.grid.directions, y, w, normals, eta=2.0)
         assert F.shape == (self.grid.size, y.shape[0])
         assert _rel_max(F, ref) <= 1e-13
@@ -406,7 +406,7 @@ class TestHotPath:
     def test_far_matrix_entries(self, small_bump_mesh, bc):
         mesh = small_bump_mesh
         eta = 2.0 if bc is D else 0.0
-        A = _assemble_matrix(mesh, 2.0, bc, eta)
+        A = _assemble_matrix(mesh, 2.0, bc)
         far = np.ones(A.shape, dtype=bool)
         far[tuple(np.array(_vertex_adjacency(mesh)).T)] = False
         i, j = np.nonzero(far)
@@ -425,15 +425,14 @@ class TestHotPath:
         so do near-block chunks of a few pairs, ragged ones and a single one
         holding every pair."""
         mesh = small_bump_mesh
-        eta = 2.0 if bc is D else 0.0
-        ref = _assemble_matrix(mesh, 2.0, bc, eta)
+        ref = _assemble_matrix(mesh, 2.0, bc)
         n_pairs = len(_vertex_adjacency(mesh))
         chunks = [max(1, b * b // GRADED_LEAVES) for b in (7, 256, mesh.n_panels + 5)]
         assert chunks[0] < 5 and chunks[-1] >= n_pairs
         assert any(n_pairs % c for c in chunks[:-1])
         for block in (7, 256, mesh.n_panels + 5):
             monkeypatch.setattr(solver_mod, "_ROW_BLOCK", block)
-            A = _assemble_matrix(mesh, 2.0, bc, eta)
+            A = _assemble_matrix(mesh, 2.0, bc)
             assert A.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("bc", [D, N])

@@ -437,8 +437,6 @@ class TestSuiteHelpers:
 
     def test_refined_scene_metadata(self, flat_scene):
         fine = refine_scene(flat_scene)
-        expected = dict(flat_scene.metadata)
-        expected["mesh_h"] = fine.mesh.h
-        expected["mesh_hash"] = fine.mesh.content_hash
-        assert list(fine.metadata.items()) == list(expected.items())
+        assert fine.scene_hash == flat_scene.scene_hash
+        assert fine.mesh.content_hash != flat_scene.mesh.content_hash
         assert fine.mesh.h < flat_scene.mesh.h

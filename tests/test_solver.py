@@ -113,7 +113,7 @@ class TestSolveContract:
 
     @pytest.mark.parametrize("bc", [D, N])
     def test_one_norm_bit_equal_to_numpy(self, small_bump_mesh, bc):
-        A = solver_mod._assemble_matrix(small_bump_mesh, 2.0, bc, solver_mod._coupling(2.0, bc))
+        A = solver_mod._assemble_matrix(small_bump_mesh, 2.0, bc)
         assert solver_mod._one_norm(A) == np.linalg.norm(A, 1)
 
     def test_condition_estimate_lapack_failure(self, monkeypatch):
@@ -195,6 +195,16 @@ class TestEvalScattered:
         density, _ = solve_scattered(small_bump_mesh, pw)
         with pytest.raises(ValueError, match="panels"):
             eval_scattered(density, flat_mesh, pw, np.array([0.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, small_bump_mesh, bad):
+        pw = PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D)
+        density, _ = solve_scattered(small_bump_mesh, pw)
+        with pytest.raises(ValueError, match="must be finite"):
+            eval_scattered(density, small_bump_mesh, pw, np.array([bad, 0.0, 1.0]))
+        pts = np.array([[0.0, 0.0, 2.0], [0.0, bad, 1.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            eval_scattered(density, small_bump_mesh, pw, pts)
 
 
 class TestFarField:
