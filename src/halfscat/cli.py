@@ -85,6 +85,11 @@ def _print_results(results) -> bool:
     return ok
 
 
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+
+
 def _write_jsonl(path: Path, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
@@ -184,13 +189,7 @@ def _dispatch(subcommand: str, scene, tol, out_dir: Path) -> bool:
         _write_jsonl(out_dir / "identities.jsonl", [r.to_json_line() for r in reports])
         return _print_results(results)
     if subcommand == "maxwell":
-        results = run_maxwell(
-            scene.k,
-            scene.config.maxwell["y"],
-            scene.config.maxwell["p"],
-            seed=scene.seed,
-            tol=tol,
-        )
+        results = run_maxwell(scene, tol)
         _write_jsonl(
             out_dir / "maxwell.jsonl",
             [
@@ -217,31 +216,21 @@ def _dispatch(subcommand: str, scene, tol, out_dir: Path) -> bool:
         results, recovered, report = run_invert(scene, tol)
         export_inversion_trace_csv(report, out_dir / "inversion_trace.csv",
                                    scene_hash=scene.scene_hash)
-        with open(out_dir / "inversion_result.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "scene_hash": scene.scene_hash,
-                    "recovered": recovered.values.tolist(),
-                    "iterations": report.iterations,
-                    "stop_reason": report.stop_reason,
-                    "regularization": report.regularization,
-                },
-                fh,
-                indent=2,
-            )
+        _write_json(out_dir / "inversion_result.json", {
+            "scene_hash": scene.scene_hash,
+            "recovered": recovered.values.tolist(),
+            "iterations": report.iterations,
+            "stop_reason": report.stop_reason,
+            "regularization": report.regularization,
+        })
         return _print_results(results)
     if subcommand == "convergence":
         results = run_convergence(scene, tol)
-        with open(out_dir / "convergence.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "scene_hash": scene.scene_hash,
-                    "value": results[0].value,
-                    "passed": results[0].passed,
-                },
-                fh,
-                indent=2,
-            )
+        _write_json(out_dir / "convergence.json", {
+            "scene_hash": scene.scene_hash,
+            "value": results[0].value,
+            "passed": results[0].passed,
+        })
         return _print_results(results)
     raise ValueError(f"unknown subcommand {subcommand!r}")
 
@@ -261,8 +250,8 @@ def _run_forward(scene, out_dir: Path) -> bool:
             f"[PASS] forward[{i}]: residual {report.residual_norm:.3e} "
             f"(<= 1e-10 * rhs norm {report.rhs_norm:.3e})"
         )
-    with open(out_dir / "solve_report.json", "w", encoding="utf-8") as fh:
-        json.dump({"scene_hash": scene.scene_hash, "solves": report_payload}, fh, indent=2)
+    _write_json(out_dir / "solve_report.json",
+                {"scene_hash": scene.scene_hash, "solves": report_payload})
     return True
 
 

@@ -24,6 +24,7 @@ from .solver import (
 )
 
 REL_ERR_FLOOR = 1e-300
+DECAY_RADII = 12  # samples of every radiation-decay fit, log-spaced over a decade
 
 
 def relative_error(lhs: complex, rhs: complex) -> float:
@@ -96,7 +97,7 @@ def check_mixed_reciprocity(scene, d: np.ndarray, z: np.ndarray) -> IdentityRepo
     z = np.asarray(z, dtype=float)
     pw = _plane_wave_from_direction(d, scene.k, scene.bc)
     dens_pw, _ = solve_scattered(scene.mesh, pw)
-    rhs = eval_scattered(dens_pw, scene.mesh, pw, z)
+    rhs = eval_scattered(dens_pw, scene.mesh, z)
 
     ps = PointSource(z=z, k=scene.k, bc=scene.bc)
     dens_ps, _ = solve_scattered(scene.mesh, ps)
@@ -111,11 +112,11 @@ def check_point_symmetry(scene, x: np.ndarray, y: np.ndarray) -> IdentityReport:
     y = np.asarray(y, dtype=float)
     src_y = PointSource(z=y, k=scene.k, bc=scene.bc)
     dens_y, _ = solve_scattered(scene.mesh, src_y)
-    lhs = eval_scattered(dens_y, scene.mesh, src_y, x)
+    lhs = eval_scattered(dens_y, scene.mesh, x)
 
     src_x = PointSource(z=x, k=scene.k, bc=scene.bc)
     dens_x, _ = solve_scattered(scene.mesh, src_x)
-    rhs = eval_scattered(dens_x, scene.mesh, src_x, y)
+    rhs = eval_scattered(dens_x, scene.mesh, y)
     return _report("point_symmetry", lhs, rhs, scene.scene_hash)
 
 
@@ -148,8 +149,8 @@ def check_extension(
     ``density.bc`` says, makes the two agree up to sign.  Reports the worst
     pair; abs_err is the max residual over all samples."""
     samples = np.asarray(samples, dtype=float).reshape(-1, 3)
-    up = eval_scattered(density, mesh, None, samples)
-    down = eval_scattered(density, mesh, None, samples * MIRROR)
+    up = eval_scattered(density, mesh, samples)
+    down = eval_scattered(density, mesh, samples * MIRROR)
     expected = -up if density.bc is BoundaryCondition.DIRICHLET else up
     resid = np.abs(down - expected)
     worst = int(np.argmax(resid))
@@ -157,9 +158,10 @@ def check_extension(
     return replace(rep, abs_err=float(resid.max()))
 
 
-def radiation_residuals(field, k: float, xhat: np.ndarray, radii: np.ndarray, step: float = 1e-3):
+def radiation_residuals(field, k: float, xhat: np.ndarray, radii: np.ndarray):
     """|d_r u - i k u| along the ray r*xhat, radial derivative by central
     differences."""
+    step = 1e-3
     xhat = np.asarray(xhat, dtype=float)
     xhat = xhat / np.linalg.norm(xhat)
     pts = radii[:, None] * xhat
@@ -174,20 +176,15 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def check_radiation_decay(
-    density: LayerDensity,
-    mesh,
-    inc,
-    xhat: np.ndarray,
-    n_radii: int = 12,
-    scene_hash: str = "",
+    density: LayerDensity, mesh, xhat: np.ndarray, scene_hash: str = ""
 ) -> SlopeReport:
     """Sommerfeld-residual decay of the solved field along a ray: least-squares
-    log-log slope over 12 radii in [10R, 100R]; the far-field expansion forces
-    an exponent of -2."""
+    log-log slope over DECAY_RADII radii in [10R, 100R]; the far-field
+    expansion forces an exponent of -2."""
     R = mesh.support_radius
-    radii = np.geomspace(10 * R, 100 * R, n_radii)
+    radii = np.geomspace(10 * R, 100 * R, DECAY_RADII)
     resid = radiation_residuals(
-        lambda pts: eval_scattered(density, mesh, inc, pts), density.k, xhat, radii
+        lambda pts: eval_scattered(density, mesh, pts), density.k, xhat, radii
     )
     vacuous = bool(np.all(resid == 0.0))
     return SlopeReport(
@@ -201,11 +198,11 @@ def check_radiation_decay(
 
 
 def check_kernel_radiation_decay(
-    k: float, bc: BoundaryCondition, y: np.ndarray, xhat: np.ndarray, n_radii: int = 12
+    k: float, bc: BoundaryCondition, y: np.ndarray, xhat: np.ndarray
 ) -> SlopeReport:
     """Same decay fit for the bare image kernel with a fixed source point."""
     kern = GreenKernel(k=k, bc=bc)
-    radii = np.geomspace(10.0, 100.0, n_radii)
+    radii = np.geomspace(10.0, 100.0, DECAY_RADII)
     resid = radiation_residuals(lambda pts: eval_G(kern, pts, y), k, xhat, radii)
     return SlopeReport(
         name="kernel_radiation_decay",

@@ -57,6 +57,8 @@ class ProfileParams:
             raise ValueError(f"{self.kind} expects {n_expected} values, got shape {values.shape}")
         if lower.shape != values.shape or upper.shape != values.shape:
             raise ValueError("bounds must match the value vector")
+        if not all(np.isfinite(arr).all() for arr in (values, lower, upper)):
+            raise ValueError("parameter values and bounds must be finite")
         if np.any(values < lower) or np.any(values > upper):
             raise ValueError("parameter values violate their bounds")
         for arr in (values, lower, upper):
@@ -164,7 +166,7 @@ def blow_up_indicator(scene, samples: np.ndarray) -> IndicatorMap:
     for i, z in enumerate(samples):
         src = PointSource(z=z, k=scene.k, bc=scene.bc)
         density, _ = solve_scattered(scene.mesh, src)
-        vals[i] = abs(eval_scattered(density, scene.mesh, src, z))
+        vals[i] = abs(eval_scattered(density, scene.mesh, z))
     return IndicatorMap(points=samples, values=vals)
 
 

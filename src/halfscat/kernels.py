@@ -84,13 +84,20 @@ def _lengths(d):
     return np.sqrt(planar + d2 * d2), np.sqrt(planar + e2 * e2)
 
 
-def _checked_pair(x, y, k: float):
-    """Displacement components with (Phi, c) at y and at y'; raises when x or
-    y is not finite or x meets either point."""
+def _finite(x, y):
+    """x and y as float arrays; raises unless every coordinate of both is
+    finite.  x is an evaluation point or a far-field direction, y a source."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("evaluation and source points must be finite")
+        raise ValueError("evaluation points, directions and source points must be finite")
+    return x, y
+
+
+def _checked_pair(x, y, k: float):
+    """Displacement components with (Phi, c) at y and at y'; raises when x or
+    y is not finite or x meets either point."""
+    x, y = _finite(x, y)
     d = _displacements(_components(x), _components(y))
     r, r_img = _lengths(d)
     if np.min(r) < SINGULARITY_GUARD:
@@ -213,27 +220,26 @@ def representation(bc: BoundaryCondition, x, y, nu_y, k):
     return _combined_terms(radial, d, None, _components(nu_y), k)
 
 
+def _farfield_phases(kern: GreenKernel, xhat, y):
+    """xhat with the phases e^{-ik xhat.y} and e^{-ik xhat.y'}."""
+    xhat, y = _finite(xhat, y)
+    ph = np.exp(-1j * kern.k * np.sum(xhat * y, axis=-1))
+    ph_img = np.exp(-1j * kern.k * np.sum(xhat * (y * MIRROR), axis=-1))
+    return xhat, ph, ph_img
+
+
 def farfield_kernel(kern: GreenKernel, xhat: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficient of e^{ik|x|}/|x| in G(x, y) as |x| -> infinity along the
     upper-hemisphere direction xhat:  (e^{-ik xhat.y} -/+ e^{-ik xhat.y'}) / 4pi."""
-    xhat = np.asarray(xhat, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = kern.bc.image_sign
-    k = kern.k
-    ph = np.exp(-1j * k * np.sum(xhat * y, axis=-1))
-    ph_img = np.exp(-1j * k * np.sum(xhat * (y * MIRROR), axis=-1))
-    return (ph + s * ph_img) / (4.0 * np.pi)
+    _, ph, ph_img = _farfield_phases(kern, xhat, y)
+    return (ph + kern.bc.image_sign * ph_img) / (4.0 * np.pi)
 
 
 def farfield_kernel_grad_y(kern: GreenKernel, xhat: np.ndarray, y: np.ndarray) -> np.ndarray:
     """y-gradient of the far-field kernel (far field of the double layer)."""
-    xhat = np.asarray(xhat, dtype=float)
-    y = np.asarray(y, dtype=float)
+    xhat, ph, ph_img = _farfield_phases(kern, xhat, y)
     s = kern.bc.image_sign
-    k = kern.k
-    ph = np.exp(-1j * k * np.sum(xhat * y, axis=-1))
-    ph_img = np.exp(-1j * k * np.sum(xhat * (y * MIRROR), axis=-1))
-    coef = -1j * k / (4.0 * np.pi)
+    coef = -1j * kern.k / (4.0 * np.pi)
     return coef * (ph[..., None] * xhat + s * ph_img[..., None] * (xhat * MIRROR))
 
 
@@ -252,8 +258,7 @@ def farfield_matrix(
     (nu_j . farfield_kernel_grad_y - i k farfield_kernel)(xhat_i, y_j) * w_j.
     Since xhat.y' = (M xhat).y, the phases and the normal contractions are
     GEMMs, and each entry costs two complex exponentials."""
-    xhat = np.asarray(xhat, dtype=float)
-    y = np.asarray(y, dtype=float)
+    xhat, y = _finite(xhat, y)
     s = kern.bc.image_sign
     k = kern.k
     xhat_img = xhat * MIRROR

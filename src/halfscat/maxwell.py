@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SingularityError
 from .geometry import Plane, mirror, reflect_linear
-from .identities import fit_loglog_slope
+from .identities import DECAY_RADII, fit_loglog_slope
 from .kernels import SINGULARITY_GUARD
 
 
@@ -149,16 +149,14 @@ class SilverMullerReport:
     residuals: np.ndarray = field(repr=False)
 
 
-def check_silver_muller(
-    src: DipoleSource, plane: Plane, xhat: np.ndarray, n_radii: int = 12
-) -> SilverMullerReport:
+def check_silver_muller(src: DipoleSource, plane: Plane, xhat: np.ndarray) -> SilverMullerReport:
     """Decay of |H x x - r E| for the radiating total field along the ray
     r*xhat, r in [10, 100]/k; an outgoing field gives a slope near -1."""
     xhat = np.asarray(xhat, dtype=float)
     xhat = xhat / np.linalg.norm(xhat)
     if xhat[2] <= 0:
         raise ValueError("Silver-Mueller ray must point into the upper half space")
-    radii = np.geomspace(10.0 / src.k, 100.0 / src.k, n_radii)
+    radii = np.geomspace(10.0 / src.k, 100.0 / src.k, DECAY_RADII)
     pts = radii[:, None] * xhat
     tot = eval_total_field(src, plane, pts)
     sm = np.cross(tot.H, pts) - radii[:, None] * tot.E

@@ -164,23 +164,19 @@ def _closest_points_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c:
         denom = _safe_div(np.ones_like(va), va + vb + vc)
         interior = a + ab * (vb * denom) + ac * (vc * denom)
 
-    out = interior
-    m6 = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
-    out = np.where(m6, b + (c - b) * t_bc, out)
-    m5 = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    out = np.where(m5, a + ac * t_ac, out)
-    m4 = (d6 >= 0) & (d5 <= d6)
-    out = np.where(m4, c, out)
-    m3 = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    out = np.where(m3, a + ab * t_ab, out)
-    m2 = (d3 >= 0) & (d4 <= d3)
-    out = np.where(m2, b, out)
-    m1 = (d1 <= 0) & (d2 <= 0)
-    out = np.where(m1, a, out)
-    return out
+    # Voronoi regions in Ericson's test order; the first that holds decides
+    regions = [
+        ((d1 <= 0) & (d2 <= 0), a),
+        ((d3 >= 0) & (d4 <= d3), b),
+        ((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + ab * t_ab),
+        ((d6 >= 0) & (d5 <= d6), c),
+        ((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + ac * t_ac),
+        ((va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0), b + (c - b) * t_bc),
+    ]
+    return np.select([m for m, _ in regions], [v for _, v in regions], interior)
 
 
-def _graded_leaves(verts: np.ndarray, p: np.ndarray, levels: int = GRADED_LEVELS):
+def _graded_leaves(verts: np.ndarray, p: np.ndarray):
     """Subdivide panels toward their singular points: connect p to the three
     corners, then refine each corner triangle geometrically toward p.
 
@@ -191,13 +187,13 @@ def _graded_leaves(verts: np.ndarray, p: np.ndarray, levels: int = GRADED_LEVELS
     carry zero area); panel j's leaves run fan by fan, the fan of corner ia
     toward corner ia + 1 holding two leaves per level and the last one at p."""
     n = p.shape[-1]
-    per_fan = 2 * levels + 1
+    per_fan = 2 * GRADED_LEVELS + 1
     # leaf corners, indexed [leaf corner, component, fan, leaf in fan, panel]
     t = np.empty((3, 3, 3, per_fan, n))
     pc = p[:, None, :]
     a_prev = verts.transpose(1, 0, 2)
     b_prev = verts[[1, 2, 0]].transpose(1, 0, 2)
-    for m in range(levels):
+    for m in range(GRADED_LEVELS):
         a_next = pc + 0.5 * (a_prev - pc)
         b_next = pc + 0.5 * (b_prev - pc)
         t[:, :, :, 2 * m] = a_prev, b_prev, b_next
@@ -416,17 +412,13 @@ def _check_eval_distance(mesh: PanelMesh, pts: np.ndarray) -> None:
         )
 
 
-def eval_scattered(
-    density: LayerDensity, mesh: PanelMesh, inc: IncidentWave, x: np.ndarray
-) -> np.ndarray:
-    """Evaluate the layer-potential representation at points x (off-surface).
+def eval_scattered(density: LayerDensity, mesh: PanelMesh, x: np.ndarray) -> np.ndarray:
+    """Evaluate the layer-potential representation at points x (off-surface);
+    the density carries k and the formulation.
 
     The kernel is defined on both sides of the ground plane, so mirrored
     evaluation points are legitimate; they are what the extension checks use.
     """
-    if inc is not None:
-        if (inc.k, inc.bc) != (density.k, density.bc):
-            raise ValueError("incident wave does not match the density's k or formulation")
     _check_density_matches(density, mesh)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -456,8 +448,10 @@ def eval_farfields(
     for density in densities:
         _check_density_matches(density, mesh)
     first = densities[0]
-    if any((d.k, d.bc) != (first.k, first.bc) for d in densities):
-        raise ValueError("densities must share k, formulation and eta")
+    for d in densities:
+        if (d.k, d.bc) != (first.k, first.bc):
+            raise ValueError(f"densities must share k, formulation: k={first.k!r}, "
+                             f"bc={first.bc.value} against k={d.k!r}, bc={d.bc.value}")
     kern = GreenKernel(k=first.k, bc=first.bc)
     normals = mesh.normals if first.bc is BoundaryCondition.DIRICHLET else None
     sigma = np.column_stack([d.coefficients for d in densities])

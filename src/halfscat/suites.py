@@ -117,23 +117,23 @@ def within(name: str, value, lo, hi) -> CheckResult:
     return CheckResult(name, lo <= value <= hi, value, f"slope in [{lo:g}, {hi:g}]")
 
 
-def refine_scene(scene, factor: float = 0.5):
-    """The scene on a mesh of ``factor`` times its target panel size.  Only the
-    mesh changes: ``config`` still describes the original scene, so the scene
-    hash is kept."""
-    target = scene.config.mesh["target_h"] * factor
+def refine_scene(scene):
+    """The scene on a mesh of half its target panel size.  Only the mesh
+    changes: ``config`` still describes the original scene, so the scene hash
+    is kept."""
+    target = scene.config.mesh["target_h"] * 0.5
     return replace(scene, mesh=mesh_perturbation(scene.profile, target))
 
 
 # ---------------------------------------------------------------------------
 # deterministic sample generators
 
-def mixed_reciprocity_pairs(scene, n_extra: int = 2):
-    """Canonical (d, z) pair plus seeded random ones, all with z well above
-    the perturbation."""
+def mixed_reciprocity_pairs(scene):
+    """Canonical (d, z) pair plus two seeded random ones, all with z well
+    above the perturbation."""
     pairs = [(np.array([0.0, 0.0, -1.0]), np.array([0.5, 0.0, 1.5]))]
     rng = np.random.default_rng(scene.seed + 101)
-    for _ in range(n_extra):
+    for _ in range(2):
         phi = rng.uniform(-1.0, 1.0)
         theta = rng.uniform(0.0, 2 * np.pi)
         d = np.array(
@@ -146,22 +146,22 @@ def mixed_reciprocity_pairs(scene, n_extra: int = 2):
     return pairs
 
 
-def symmetry_pairs(scene, n_random: int = 3):
+def symmetry_pairs(scene):
     """Two pinned pairs (one with both points low over the rim, echoing the
-    mirrored-region case layout) plus seeded random pairs."""
+    mirrored-region case layout) plus three seeded random pairs."""
     pairs = [
         (np.array([0.6, 0.0, 1.2]), np.array([-0.4, 0.3, 1.8])),
         (np.array([1.35, 0.0, 0.25]), np.array([-1.4, 0.2, 0.25])),
     ]
     rng = np.random.default_rng(scene.seed + 202)
-    for _ in range(n_random):
+    for _ in range(3):
         pts = []
         for _ in range(2):
             ang = rng.uniform(0, 2 * np.pi)
             rad = rng.uniform(0.0, 1.2)
             pts.append(np.array([rad * np.cos(ang), rad * np.sin(ang), rng.uniform(1.0, 2.0)]))
         pairs.append(tuple(pts))
-    return pairs[: 2 + n_random]
+    return pairs
 
 
 def reflected_farfield_triples(seed: int, n: int = 100):
@@ -182,14 +182,14 @@ def reflected_farfield_triples(seed: int, n: int = 100):
     return triples
 
 
-def extension_samples(scene, n: int = 50):
-    """Exterior shell samples with |x| in (1.5R, 3R), upper half space."""
+def extension_samples(scene):
+    """50 exterior shell samples with |x| in (1.5R, 3R), upper half space."""
     R = scene.mesh.support_radius
     rng = np.random.default_rng(scene.seed + 404)
-    dirs = rng.normal(size=(n, 3))
+    dirs = rng.normal(size=(50, 3))
     dirs[:, 2] = np.abs(dirs[:, 2]) + 0.05
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = rng.uniform(1.5 * R, 3.0 * R, size=n)
+    radii = rng.uniform(1.5 * R, 3.0 * R, size=len(dirs))
     return dirs * radii[:, None]
 
 
@@ -227,8 +227,7 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     results.append(at_most("reflected_farfield", worst, tol.reflected_farfield,
                            "rel_err <= {:g} on 100 triples, both bcs"))
 
-    inc = scene.incidents[0]
-    density, _ = solve_scattered(scene.mesh, inc)
+    density, _ = solve_scattered(scene.mesh, scene.incidents[0])
     ext = check_extension(density, scene.mesh, extension_samples(scene), scene.scene_hash)
     reports.append(ext)
     results.append(at_most("extension", ext.abs_err, tol.extension,
@@ -236,7 +235,7 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
 
     lo = tol.decay_slope_center - tol.decay_slope_halfwidth
     hi = tol.decay_slope_center + tol.decay_slope_halfwidth
-    decay = check_radiation_decay(density, scene.mesh, inc, np.array([0.0, 0.0, 1.0]),
+    decay = check_radiation_decay(density, scene.mesh, np.array([0.0, 0.0, 1.0]),
                                   scene_hash=scene.scene_hash)
     reports.append(decay)
     check = within("radiation_decay", decay.slope, lo, hi)
@@ -255,12 +254,11 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     return results, reports
 
 
-def run_maxwell(k: float, dipole_y, dipole_p, seed: int = 0,
-                tol: SuiteTolerances = DEFAULT_TOLERANCES):
+def run_maxwell(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     """Electromagnetic image-field suite: PEC condition, reflection principle,
     finite-difference Maxwell and divergence residuals, Silver-Mueller decay."""
-    src = DipoleSource(y=dipole_y, p=dipole_p, k=k)
-    rng = np.random.default_rng(seed + 505)
+    src = DipoleSource(y=scene.config.maxwell["y"], p=scene.config.maxwell["p"], k=scene.k)
+    rng = np.random.default_rng(scene.seed + 505)
     results: list[CheckResult] = []
 
     ang = rng.uniform(0, 2 * np.pi, size=200)

@@ -104,8 +104,8 @@ def test_criterion_06_radiation_decay(identity_results):
     _verdict(6, "radiation decay", passed, "; ".join(details) + " (in [-2.2, -1.8])")
 
 
-def test_criterion_07_maxwell_suite():
-    results = run_maxwell(k=2.0, dipole_y=(0.2, -0.1, 0.8), dipole_p=(1.0, -2.0, 0.5), seed=7)
+def test_criterion_07_maxwell_suite(canonical_dirichlet):
+    results = run_maxwell(canonical_dirichlet)
     passed = all(r.passed for r in results)
     detail = ", ".join(f"{r.name}={r.value:.3g}" for r in results)
     _verdict(7, "Maxwell image-field suite", passed, detail)

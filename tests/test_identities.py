@@ -144,9 +144,7 @@ class TestRadiationDecay:
     def test_solved_scene_slope(self, canonical_dirichlet):
         scene = canonical_dirichlet
         density, _ = solve_scattered(scene.mesh, scene.incidents[0])
-        rep = check_radiation_decay(
-            density, scene.mesh, scene.incidents[0], np.array([0.0, 0.0, 1.0])
-        )
+        rep = check_radiation_decay(density, scene.mesh, np.array([0.0, 0.0, 1.0]))
         assert not rep.vacuous
         assert -2.2 <= rep.slope <= -1.8
         assert rep.radii[0] == pytest.approx(10.0) and rep.radii[-1] == pytest.approx(100.0)
@@ -164,7 +162,7 @@ class TestRadiationDecay:
             bc=D,
             k=2.0,
         )
-        rep = check_radiation_decay(density, mesh, None, np.array([0.0, 0.0, 1.0]))
+        rep = check_radiation_decay(density, mesh, np.array([0.0, 0.0, 1.0]))
         assert rep.vacuous
         assert json.loads(rep.to_json_line())["vacuous"] is True
 

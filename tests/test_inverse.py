@@ -42,6 +42,25 @@ class TestProfileParams:
         with pytest.raises(ValueError):
             ProfileParams.heights([-0.05, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ProfileParams.bump(np.nan, 0.25),
+            lambda: ProfileParams.bump(0.3, 0.25, R=np.nan),
+            lambda: ProfileParams.heights([np.nan] * 5),
+            lambda: ProfileParams(
+                kind="bump_hw",
+                values=np.array([0.3, 0.25]),
+                lower=np.array([-np.inf, 0.05]),
+                upper=np.array([np.inf, 0.8]),
+            ),
+        ],
+        ids=["bump_height", "bump_radius", "heights", "infinite_bounds"],
+    )
+    def test_non_finite_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
     def test_to_profile_roundtrip(self):
         params = ProfileParams.bump(0.3, 0.25)
         prof = params.to_profile()

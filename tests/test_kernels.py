@@ -34,6 +34,12 @@ N = BoundaryCondition.NEUMANN
 KD = GreenKernel(k=1.0, bc=D)
 
 
+def _farfield_matrix(kern, xhat, y):
+    """farfield_matrix on the row-stacked points, with unit weights."""
+    y = np.atleast_2d(y)
+    return farfield_matrix(kern, np.atleast_2d(xhat), y, np.ones(len(y)))
+
+
 class TestEvalG:
     def test_dirichlet_vanishes_for_on_plane_argument(self):
         y = np.array([0.3, -0.2, 0.9])
@@ -74,7 +80,10 @@ class TestEvalG:
         with pytest.raises(SingularityError, match="image"):
             eval_G(KD, np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0]))
 
-    @pytest.mark.parametrize("evaluator", [eval_G, grad_G_x, grad_G_y])
+    @pytest.mark.parametrize(
+        "evaluator",
+        [eval_G, grad_G_x, grad_G_y, farfield_kernel, farfield_kernel_grad_y, _farfield_matrix],
+    )
     def test_non_finite_points_rejected(self, evaluator):
         kern = GreenKernel(k=2.0, bc=D)
         good = np.array([0.0, 0.0, 0.5])
@@ -452,7 +461,7 @@ class TestHotPath:
             kern, pts[:, None, :], mesh.centroids[None, :, :], mesh.normals[None, :, :], eta
         )
         ref = (vals * mesh.areas) @ density.coefficients
-        assert _rel_max(eval_scattered(density, mesh, None, pts), ref) <= 1e-13
+        assert _rel_max(eval_scattered(density, mesh, pts), ref) <= 1e-13
 
 
 def test_kernel_requires_positive_wavenumber():
