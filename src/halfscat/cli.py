@@ -96,18 +96,32 @@ def _write_jsonl(path: Path, lines) -> None:
             fh.write(line + "\n")
 
 
-def _largest_system_panels(subcommand: str, scene) -> int:
-    """Panels of the largest collocation system the verb factors; the
-    factorization cache holds one system, so this bounds its memory."""
+def _largest_system(subcommand: str, scene) -> tuple[int, int]:
+    """Panels and sector count of the largest collocation system the verb
+    factors; the factorization cache holds one system, so this bounds its
+    memory."""
     if subcommand == "maxwell":
-        return 0
+        return 0, 1
+    mesh = scene.mesh
     if subcommand in ("identities", "convergence"):
-        return refine_scene(scene).mesh.n_panels
-    if subcommand == "invert":
+        mesh = refine_scene(scene).mesh
+    elif subcommand == "invert":
         require_invertible(scene)
         data_mesh = mesh_perturbation(scene.profile, scene.config.invert["data_target_h"])
-        return max(scene.mesh.n_panels, data_mesh.n_panels)
-    return scene.mesh.n_panels
+        mesh = max(mesh, data_mesh, key=lambda m: m.n_panels)
+    return mesh.n_panels, mesh.sectors
+
+
+def _memory_available_mb() -> float | None:
+    """MemAvailable from /proc/meminfo in MiB, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) / 2**10
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
 
 
 def main(argv=None) -> int:
@@ -156,7 +170,13 @@ def main(argv=None) -> int:
 
 
 def _print_plan(args, scene, out_dir: Path) -> None:
-    panels = _largest_system_panels(args.subcommand, scene)
+    panels, sectors = _largest_system(args.subcommand, scene)
+    system_mb = round(32 * panels**2 / sectors / 2**20, 1)
+    available = _memory_available_mb()
+    memory = {} if available is None else {
+        "memory_available_mb": round(available, 1),
+        "system_fits_in_memory": str(system_mb <= available).lower(),
+    }
     plan = {
         "subcommand": args.subcommand,
         "config": str(args.config),
@@ -169,9 +189,11 @@ def _print_plan(args, scene, out_dir: Path) -> None:
         "lipschitz_constant": scene.profile.max_slope,
         "incidents": len(scene.incidents),
         "farfield_directions": scene.grid.size,
-        # complex n x n collocation matrix plus its LU factors, in MiB,
-        # for the largest system the verb factors
-        "dense_system_mb": round(32 * panels**2 / 2**20, 1),
+        # the largest system the verb factors, in MiB: its g sector blocks
+        # of (n/g)^2 complex entries plus their LU factors
+        "dense_system_mb": system_mb,
+        "symmetry_sectors": sectors,
+        **memory,
         "threads": args.threads,
         "tolerance_scale": args.tolerance_scale,
         "out_dir": str(out_dir),

@@ -261,6 +261,8 @@ class PanelMesh:
     centroids, areas and upward unit normals are per panel.  ``grid_hash``
     identifies the discretization rule alone (ring count and disc radius,
     not the heights), which is what the inverse-crime guard compares.
+    ``sectors`` is the order of the rotation group the mesh is invariant
+    under: 6 for a radial profile on the ring grid, else 1.
     """
 
     vertices: np.ndarray
@@ -273,10 +275,27 @@ class PanelMesh:
     support_radius: float
     content_hash: str
     grid_hash: str
+    sectors: int = 1
 
     @property
     def n_panels(self) -> int:
         return self.triangles.shape[0]
+
+    def sector_orbits(self) -> np.ndarray:
+        """(n_panels / sectors, sectors) panel indices: row a lists panel
+        O[a, 0] of sector 0 and its images under the rotations by
+        2 pi s / sectors, so O[a, s + 1] is O[a, s] turned by one sector.
+
+        ``_disc_grid`` stores ring i (from 1) at panels 6 (i - 1)^2 on, sector
+        by sector, 2 i - 1 panels each, so O[., s] = 6 (i - 1)^2 + s (2 i - 1) + t.
+        """
+        if self.sectors == 1:
+            return np.arange(self.n_panels)[:, None]
+        ring = np.arange(1, self.n_rings + 1)
+        i = np.repeat(ring, 2 * ring - 1)  # the ring of each panel of sector 0
+        # (i - 1)^2 panels of sector 0 lie in the rings before ring i
+        t = np.arange(i.size) - (i - 1) ** 2
+        return (6 * (i - 1) ** 2 + t)[:, None] + np.arange(6) * (2 * i - 1)[:, None]
 
     @property
     def total_area(self) -> float:
@@ -363,6 +382,8 @@ def mesh_perturbation(profile: SurfaceProfile, target_h: float) -> PanelMesh:
         support_radius=R,
         content_hash=_hash_arrays(vertices, tris, tag="mesh-v1"),
         grid_hash=_hash_arrays(np.array([float(n), R]), tag="rings-v1"),
+        # the union-jack grid of a piecewise-linear profile is not C6-invariant
+        sectors=1 if profile.kind == "piecewise_linear" else 6,
     )
 
 

@@ -235,12 +235,49 @@ def _vertex_adjacency(mesh: PanelMesh) -> np.ndarray:
 
 @dataclass
 class _Factorization:
-    matrix: np.ndarray
-    lu: np.ndarray
-    piv: np.ndarray
-    cond_estimate: float
-    assembly_time_s: float
-    factor_time_s: float  # lu_factor and the gecon condition estimate
+    """The collocation system A of a mesh whose panels fall into g sector
+    orbits O (``PanelMesh.sector_orbits``), stored as the g real-space
+    blocks B_s[a, b] = A[O[a, 0], O[b, s]] and the LU factors of their
+    sector-Fourier transforms B^_p = sum_s w^(ps) B_s, w = e^(2 pi i / g).
+
+    A commutes with the rotation by one sector, so A[O[a, r], O[b, r + s]] =
+    B_s[a, b] and A is block-diagonal in the sector-Fourier basis.  With
+    g = 1 the one block is the dense matrix and its LU is A's."""
+
+    orbits: np.ndarray  # (m, g) panel indices, m = n / g
+    blocks: np.ndarray  # (g, m, m)
+    lus: list  # lu_factor of each B^_p
+    cond_estimate: float = np.inf
+    assembly_time_s: float = 0.0
+    factor_time_s: float = 0.0  # the block LUs and the condition estimate
+
+    @classmethod
+    def factor(cls, orbits: np.ndarray, blocks: np.ndarray) -> "_Factorization":
+        g = len(blocks)
+        fourier = blocks if g == 1 else g * np.fft.ifft(blocks, axis=0)
+        return cls(orbits, blocks, [scipy.linalg.lu_factor(b) for b in fourier])
+
+    def solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
+        """A^-1 b, or (A^H)^-1 b with trans=2.  The right-hand side goes to
+        the sector-Fourier basis as fft(b[O]) / g and the solution comes back
+        as x[O] = g ifft(X^); the factors g cancel, so neither is applied.
+        A^H has the same basis, with the blocks B^_p^H."""
+        rhs = np.fft.fft(b[self.orbits], axis=1)
+        sol = np.column_stack([
+            scipy.linalg.lu_solve(lu, rhs[:, p], trans=trans, check_finite=False)
+            for p, lu in enumerate(self.lus)
+        ])
+        x = np.empty(self.orbits.size, dtype=complex)
+        x[self.orbits] = np.fft.ifft(sol, axis=1)
+        return x
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x from the real-space blocks, (A x)[O[a, r]] = sum_s B_s x[O[., r + s]];
+        independent of the LU factors, so it checks the solve."""
+        xs = x[self.orbits]
+        y = np.empty(self.orbits.size, dtype=complex)
+        y[self.orbits] = sum(B @ np.roll(xs, -s, axis=1) for s, B in enumerate(self.blocks))
+        return y
 
 
 # At most one entry, so memory is bounded by the largest system a run
@@ -252,22 +289,14 @@ def clear_factorization_cache() -> None:
     _FACTOR_CACHE.clear()
 
 
-def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.ndarray:
-    """The collocation matrix, built in pieces of about _ROW_BLOCK**2
-    integrand entries: the far block in square tiles, then the self and
-    vertex-adjacent panels in chunks of pairs, by graded subdivision toward
-    the point of the source panel closest to the collocation point."""
-    n = mesh.n_panels
-    areas = mesh.areas
-
-    A = np.empty((n, n), dtype=complex)
-    for rows, cols, vals in collocation_tiles(bc, mesh.centroids, mesh.normals, k, _ROW_BLOCK):
-        np.multiply(vals, areas[cols], out=A[rows, cols])
-
+def _near_chunks(mesh: PanelMesh, k: float, bc: BoundaryCondition, pairs: np.ndarray):
+    """Matrix entries of the panel pairs (i, j), i collocating on j, by graded
+    subdivision toward the point of panel j closest to the centroid of i;
+    yielded as (rows, cols, values) in chunks of about _ROW_BLOCK**2
+    integrand entries."""
     cents = np.ascontiguousarray(mesh.centroids.T)
     normals = np.ascontiguousarray(mesh.normals.T)
     corners = np.ascontiguousarray(mesh.panel_vertices().transpose(1, 2, 0))
-    pairs = _vertex_adjacency(mesh)
     chunk = max(1, _ROW_BLOCK * _ROW_BLOCK // GRADED_LEAVES)
     for lo in range(0, len(pairs), chunk):
         rows, cols = pairs[lo:lo + chunk].T
@@ -278,31 +307,101 @@ def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.nda
         vals = collocation(
             bc, x[:, :, None], normals[:, rows, None], leaf_cents, normals[:, cols, None], k
         )
-        A[rows, cols] = np.sum(vals * leaf_areas, axis=1)
+        yield rows, cols, np.sum(vals * leaf_areas, axis=1)
 
-    jump = 0.5 if bc is BoundaryCondition.DIRICHLET else -0.5
-    A[np.arange(n), np.arange(n)] += jump
+
+def _jump(bc: BoundaryCondition) -> float:
+    return 0.5 if bc is BoundaryCondition.DIRICHLET else -0.5
+
+
+def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.ndarray:
+    """The dense collocation matrix, built in pieces of about _ROW_BLOCK**2
+    integrand entries: the far block in square tiles, then the self and
+    vertex-adjacent panels by ``_near_chunks``."""
+    n = mesh.n_panels
+    areas = mesh.areas
+
+    A = np.empty((n, n), dtype=complex)
+    for rows, cols, vals in collocation_tiles(bc, mesh.centroids, mesh.normals, k, _ROW_BLOCK):
+        np.multiply(vals, areas[cols], out=A[rows, cols])
+    for rows, cols, vals in _near_chunks(mesh, k, bc, _vertex_adjacency(mesh)):
+        A[rows, cols] = vals
+
+    A[np.arange(n), np.arange(n)] += _jump(bc)
     return A
 
 
-def _one_norm(A: np.ndarray) -> float:
-    """``np.linalg.norm(A, 1)`` bit for bit, without its ``n x n`` ``|A|``
-    temporary: the column sums of ``|A|`` accumulate row by row, the order in
-    which numpy reduces over the first axis."""
-    col_sums = np.zeros(A.shape[1])
-    for row in A:
+def _assemble_blocks(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.ndarray:
+    """The real-space blocks B_s of ``_Factorization``, (g, m, m): on a
+    sector-symmetric mesh only the rows of sector 0 are integrated, from the
+    same integrands as ``_assemble_matrix``; otherwise the one block is the
+    dense matrix."""
+    if mesh.sectors == 1:
+        return _assemble_matrix(mesh, k, bc)[None]
+    orbits = mesh.sector_orbits()
+    m, g = orbits.shape
+    cents = np.ascontiguousarray(mesh.centroids.T)
+    normals = np.ascontiguousarray(mesh.normals.T)
+    rows0 = orbits[:, 0]
+
+    B = np.empty((g, m, m), dtype=complex)
+    for s in range(g):
+        for lo in range(0, m, _ROW_BLOCK):
+            i = slice(lo, lo + _ROW_BLOCK)
+            x = rows0[i]
+            for lo_j in range(0, m, _ROW_BLOCK):
+                j = slice(lo_j, lo_j + _ROW_BLOCK)
+                y = orbits[j, s]
+                vals = collocation(bc, cents[:, x, None], normals[:, x, None],
+                                   cents[:, None, y], normals[:, None, y], k)
+                np.multiply(vals, mesh.areas[y], out=B[s, i, j])
+
+    # panel p is O[a, s] with a, s = divmod(place[p], g)
+    place = np.empty(mesh.n_panels, dtype=np.int64)
+    place[orbits.ravel()] = np.arange(mesh.n_panels)
+    pairs = _vertex_adjacency(mesh)
+    pairs = pairs[place[pairs[:, 0]] % g == 0]
+    for rows, cols, vals in _near_chunks(mesh, k, bc, pairs):
+        a, s = np.divmod(place[cols], g)
+        B[s, place[rows] // g, a] = vals
+
+    B[0, np.arange(m), np.arange(m)] += _jump(bc)
+    return B
+
+
+def _one_norm(blocks: np.ndarray) -> float:
+    """The 1-norm of the system ``blocks`` stores, without an ``n x n``
+    ``|A|`` temporary: column b of every sector's column sums to
+    sum_s sum_a |B_s[a, b]|, which accumulates row by row.  For a 2-D
+    matrix that is the order in which numpy reduces over the first axis,
+    so the result is ``np.linalg.norm(A, 1)`` bit for bit."""
+    col_sums = np.zeros(blocks.shape[-1])
+    for row in blocks.reshape(-1, blocks.shape[-1]):
         col_sums += np.abs(row)
     return float(col_sums.max())
 
 
-def _condition_estimate(A: np.ndarray, lu: np.ndarray) -> float:
-    """LAPACK gecon 1-norm estimate from the LU factors; inf for an exactly
-    singular matrix, so the resonance check rejects it."""
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (A,))
-    rcond, info = gecon(lu, _one_norm(A), norm="1")
-    if info != 0:
-        raise SolveError(f"LAPACK gecon failed with info={info}")
-    return float(1.0 / rcond) if rcond > 0 else np.inf
+def _condition_estimate(fact: _Factorization) -> float:
+    """1-norm condition estimate: the exact ||A||_1 times the Hager-Higham
+    estimate of ||A^-1||_1 from block solves (one probe column, so
+    deterministic).  inf for an exactly singular system, or a non-finite
+    estimate, so the resonance check rejects it."""
+    # imported here, not at the top: only a factorization needs it, and
+    # scipy.sparse would add to the start-up of every command, --dry-run too
+    import scipy.sparse.linalg
+
+    if any(not np.all(np.diagonal(lu)) for lu, _ in fact.lus):
+        return np.inf
+    n = fact.orbits.size
+    inverse = scipy.sparse.linalg.LinearOperator(
+        (n, n),
+        matvec=lambda v: fact.solve(v.ravel()),
+        rmatvec=lambda v: fact.solve(v.ravel(), trans=2),
+        dtype=complex,
+    )
+    with np.errstate(all="ignore"):
+        cond = _one_norm(fact.blocks) * scipy.sparse.linalg.onenormest(inverse, t=1)
+    return float(cond) if np.isfinite(cond) else np.inf
 
 
 def _cache_key(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> tuple:
@@ -320,18 +419,12 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
 
     _FACTOR_CACHE.clear()
     t0 = time.perf_counter()
-    A = _assemble_matrix(mesh, k, bc)
+    blocks = _assemble_blocks(mesh, k, bc)
     t1 = time.perf_counter()
-    lu, piv = scipy.linalg.lu_factor(A)
-    cond = _condition_estimate(A, lu)
-    fact = _Factorization(
-        matrix=A,
-        lu=lu,
-        piv=piv,
-        cond_estimate=cond,
-        assembly_time_s=t1 - t0,
-        factor_time_s=time.perf_counter() - t1,
-    )
+    fact = _Factorization.factor(mesh.sector_orbits(), blocks)
+    cond = fact.cond_estimate = _condition_estimate(fact)
+    fact.assembly_time_s = t1 - t0
+    fact.factor_time_s = time.perf_counter() - t1
     if cond > CONDITION_LIMIT:
         if bc is BoundaryCondition.NEUMANN:
             raise ResonanceError(
@@ -371,9 +464,9 @@ def solve_scattered(mesh: PanelMesh, inc: IncidentWave) -> tuple[LayerDensity, S
     cache_hit = _cache_key(mesh, inc.k, inc.bc) in _FACTOR_CACHE
     fact = get_factorization(mesh, inc.k, inc.bc)
     b = _right_hand_side(mesh, inc)
-    sigma = scipy.linalg.lu_solve((fact.lu, fact.piv), b)
+    sigma = fact.solve(b)
     rhs_norm = float(np.linalg.norm(b))
-    residual = float(np.linalg.norm(fact.matrix @ sigma - b))
+    residual = float(np.linalg.norm(fact.apply(sigma) - b))
     if rhs_norm > 0 and residual > SOLVE_RESIDUAL_RTOL * rhs_norm:
         raise SolveError(
             f"linear solve residual {residual:.3e} exceeds "

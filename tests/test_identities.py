@@ -176,14 +176,14 @@ def test_identity_suite_factors_each_mesh_once(flat_scene, monkeypatch):
     """The h/2 check runs after every scene-mesh solve, so the one cached
     factorization is built once per mesh; its result still comes fourth."""
     assembled = []
-    assemble = solver_mod._assemble_matrix
+    assemble = solver_mod._assemble_blocks
 
     def counting(mesh, *args):
         assembled.append(mesh.n_panels)
         return assemble(mesh, *args)
 
     solver_mod.clear_factorization_cache()
-    monkeypatch.setattr(solver_mod, "_assemble_matrix", counting)
+    monkeypatch.setattr(solver_mod, "_assemble_blocks", counting)
     results, reports = run_identities(flat_scene)
     assert len(assembled) == 2
     assert results[3].name == "mixed_reciprocity_monotone"

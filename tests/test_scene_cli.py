@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+import halfscat.cli as cli_mod
 import halfscat.solver as solver_mod
 from conftest import canonical_config
 from halfscat.cli import main
@@ -193,7 +194,9 @@ class TestCli:
         assert code == 0
         assert "dry run" in out and "scene_hash" in out
         panels = build_scene(load_config(flat_config)).mesh.n_panels
-        assert f"dense_system_mb: {round(32 * panels**2 / 2**20, 1)}" in out
+        # a flat disc is C6-symmetric: six blocks of (n/6)^2 entries and their LUs
+        assert f"dense_system_mb: {round(32 * panels**2 / 6 / 2**20, 1)}\n" in out
+        assert "symmetry_sectors: 6\n" in out
         assert "lipschitz_constant: 0.0\n" in out
         assert not (tmp_path / "o").exists()
         bump = write_config(tmp_path, canonical_config(), name="bump.yaml")
@@ -204,7 +207,7 @@ class TestCli:
         assert main(["identities", "--config", flat_config, "--dry-run"]) == 0
         out = capsys.readouterr().out
         fine = refine_scene(build_scene(load_config(flat_config))).mesh.n_panels
-        assert fine > panels and f"dense_system_mb: {round(32 * fine**2 / 2**20, 1)}\n" in out
+        assert fine > panels and f"dense_system_mb: {round(32 * fine**2 / 6 / 2**20, 1)}\n" in out
         coarse_data = write_config(tmp_path, canonical_config(invert={"data_target_h": 0.5}),
                                    name="coarse_data.yaml")
         assert main(["invert", "--config", coarse_data, "--dry-run"]) == 2
@@ -216,6 +219,23 @@ class TestCli:
                            "gaussian_bump scene\n")
         assert main(["invert", "--config", flat_config, "--out", str(tmp_path / "inv")]) == 2
         assert capsys.readouterr().err == dry_err
+
+    def test_dry_run_sizes_the_stored_system(self, tmp_path, capsys, monkeypatch):
+        """A piecewise-linear scene keeps the dense system; the memory lines
+        follow MemAvailable and are left out where it cannot be read."""
+        grid = write_config(tmp_path, canonical_config(profile={**GRID, "heights": PEAK_7}))
+        assert main(["forward", "--config", grid, "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        panels = build_scene(load_config(grid)).mesh.n_panels
+        assert f"dense_system_mb: {round(32 * panels**2 / 2**20, 1)}\n" in out
+        assert "symmetry_sectors: 1\n" in out
+        monkeypatch.setattr(cli_mod, "_memory_available_mb", lambda: 1.0)
+        assert main(["forward", "--config", grid, "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert "memory_available_mb: 1.0\n" in out and "system_fits_in_memory: false\n" in out
+        monkeypatch.setattr(cli_mod, "_memory_available_mb", lambda: None)
+        assert main(["forward", "--config", grid, "--dry-run"]) == 0
+        assert "memory_available_mb" not in capsys.readouterr().out
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, canonical_config(bc="robin"))

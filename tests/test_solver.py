@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import halfscat.solver as solver_mod
 from conftest import helmholtz_rel_residual
-from halfscat.errors import ProximityError, ResonanceError, SolveError
+from halfscat.errors import ProximityError, ResonanceError
 from halfscat.geometry import build_profile, mesh_perturbation
 from halfscat.identities import fit_loglog_slope, radiation_residuals
 from halfscat.incident import BoundaryCondition, PlaneWave, PointSource
@@ -66,8 +67,8 @@ class TestSolveContract:
         fact = get_factorization(small_bump_mesh, pw.k, pw.bc)
         b = solver_mod._right_hand_side(small_bump_mesh, pw)
         alpha = 0.7 - 1.3j
-        s1 = scipy.linalg.lu_solve((fact.lu, fact.piv), b)
-        s2 = scipy.linalg.lu_solve((fact.lu, fact.piv), alpha * b)
+        s1 = fact.solve(b)
+        s2 = fact.solve(alpha * b)
         assert np.allclose(s2, alpha * s1, rtol=1e-12, atol=1e-14)
 
     def test_source_too_close_rejected(self, small_bump_mesh):
@@ -90,13 +91,14 @@ class TestSolveContract:
         solver_mod.clear_factorization_cache()
 
     def test_singular_matrix_is_a_resonance(self, small_bump_mesh, monkeypatch):
-        n = small_bump_mesh.n_panels
-        singular = np.ones((n, n), dtype=complex)  # rank one: exact zero pivots
+        orbits = small_bump_mesh.sector_orbits()
+        m, g = orbits.shape
+        singular = np.ones((g, m, m), dtype=complex)  # A of rank one: exact zero pivots
         with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
-            lu, _ = scipy.linalg.lu_factor(singular)
-        assert solver_mod._condition_estimate(singular, lu) == np.inf
+            fact = solver_mod._Factorization.factor(orbits, singular)
+        assert solver_mod._condition_estimate(fact) == np.inf
         solver_mod.clear_factorization_cache()
-        monkeypatch.setattr(solver_mod, "_assemble_matrix", lambda *args: singular)
+        monkeypatch.setattr(solver_mod, "_assemble_blocks", lambda *args: singular)
         with pytest.raises(ResonanceError, match="inf exceeds"), pytest.warns(
             scipy.linalg.LinAlgWarning
         ):
@@ -116,14 +118,12 @@ class TestSolveContract:
         A = solver_mod._assemble_matrix(small_bump_mesh, 2.0, bc)
         assert solver_mod._one_norm(A) == np.linalg.norm(A, 1)
 
-    def test_condition_estimate_lapack_failure(self, monkeypatch):
-        A = np.eye(3, dtype=complex)
-        lu, _ = scipy.linalg.lu_factor(A)
-        monkeypatch.setattr(
-            scipy.linalg, "get_lapack_funcs", lambda *args: lambda lu, anorm, norm: (0.5, -2)
-        )
-        with pytest.raises(SolveError, match="info=-2"):
-            solver_mod._condition_estimate(A, lu)
+    def test_condition_estimate_non_finite_is_inf(self, monkeypatch):
+        identity = np.eye(3, dtype=complex)[None]
+        fact = solver_mod._Factorization.factor(np.arange(3)[:, None], identity)
+        assert solver_mod._condition_estimate(fact) == 1.0
+        monkeypatch.setattr(scipy.sparse.linalg, "onenormest", lambda *args, **kw: np.nan)
+        assert solver_mod._condition_estimate(fact) == np.inf
 
 
 class TestEvalScattered:
