@@ -149,6 +149,8 @@ def check_extension(
     ``density.bc`` says, makes the two agree up to sign.  Reports the worst
     pair; abs_err is the max residual over all samples."""
     samples = np.asarray(samples, dtype=float).reshape(-1, 3)
+    if not len(samples):
+        raise ValueError("the extension check needs at least one sample point")
     up = eval_scattered(density, mesh, samples)
     down = eval_scattered(density, mesh, samples * MIRROR)
     expected = -up if density.bc is BoundaryCondition.DIRICHLET else up

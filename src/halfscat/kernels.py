@@ -181,31 +181,33 @@ def collocation(bc: BoundaryCondition, x, nu_x, y, nu_y, k):
     return _COLLOCATION_TERMS[bc](_radial_pair(d, k), d, nu_x, nu_y, k)
 
 
-def collocation_tiles(bc: BoundaryCondition, points, normals, k, block: int):
-    """Collocation integrands with x and y both running over ``points`` (n, 3),
-    as (rows, cols, values) tiles of edge ``block`` that cover the n x n
-    matrix once.
+def collocation_tiles(bc: BoundaryCondition, points, normals, rows, cols, k, block: int):
+    """Collocation integrands with x running over the panels ``rows`` and y
+    over the panels ``cols``, given ``points`` and ``normals`` as (3, n)
+    components, as (i, j, values) tiles of edge ``block`` that cover the
+    len(rows) x len(cols) matrix once; i and j are slices of rows and cols.
 
-    |x - y| and x3 + y3 are bitwise symmetric in (x, y), so the radial
-    factors of tile (J, I) are those of tile (I, J) transposed: they are
-    computed on the tiles I <= J only, which halves the complex exponentials.
-    The mirror tile recomputes only its displacements and normal
-    contractions, so every value equals ``collocation``'s bit for bit."""
+    |x - y| and x3 + y3 are bitwise symmetric in (x, y), so when rows and
+    cols are the same panels the radial factors of tile (J, I) are those of
+    tile (I, J) transposed: they are computed on the tiles I <= J only, which
+    halves the complex exponentials.  The mirror tile recomputes only its
+    displacements and normal contractions, so every value equals
+    ``collocation``'s bit for bit."""
     terms = _COLLOCATION_TERMS[bc]
-    n = len(points)
-    pts = np.ascontiguousarray(np.transpose(points), dtype=float)
-    nrm = np.ascontiguousarray(np.transpose(normals), dtype=float)
-    for lo in range(0, n, block):
-        i = slice(lo, min(lo + block, n))
-        for lo_j in range(lo, n, block):
-            j = slice(lo_j, min(lo_j + block, n))
-            d = _displacements(pts[:, i, None], pts[:, None, j])
+    shared = np.array_equal(rows, cols)
+    x, nu_x = points[:, rows], normals[:, rows]
+    y, nu_y = points[:, cols], normals[:, cols]
+    for lo in range(0, len(rows), block):
+        i = slice(lo, lo + block)
+        for lo_j in range(lo if shared else 0, len(cols), block):
+            j = slice(lo_j, lo_j + block)
+            d = _displacements(x[:, i, None], y[:, None, j])
             radial = _radial_pair(d, k)
-            yield i, j, terms(radial, d, nrm[:, i, None], nrm[:, None, j], k)
-            if lo_j > lo:
-                d = _displacements(pts[:, j, None], pts[:, None, i])
+            yield i, j, terms(radial, d, nu_x[:, i, None], nu_y[:, None, j], k)
+            if shared and lo_j > lo:
+                d = _displacements(x[:, j, None], y[:, None, i])
                 radial = tuple(f.T for f in radial)
-                yield j, i, terms(radial, d, nrm[:, j, None], nrm[:, None, i], k)
+                yield j, i, terms(radial, d, nu_x[:, j, None], nu_y[:, None, i], k)
 
 
 def representation(bc: BoundaryCondition, x, y, nu_y, k):

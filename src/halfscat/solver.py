@@ -78,6 +78,8 @@ class DirectionGrid:
 
     @classmethod
     def make(cls, n_theta: int, n_phi: int) -> "DirectionGrid":
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in (n_theta, n_phi)):
+            raise ValueError(f"direction grid counts must be integers, got {n_theta!r}, {n_phi!r}")
         if n_theta < 1 or n_phi < 1:
             raise ValueError("direction grid needs n_theta >= 1 and n_phi >= 1")
         phis = (np.arange(n_phi) + 0.5) * (np.pi / 2) / n_phi
@@ -289,13 +291,29 @@ def clear_factorization_cache() -> None:
     _FACTOR_CACHE.clear()
 
 
-def _near_chunks(mesh: PanelMesh, k: float, bc: BoundaryCondition, pairs: np.ndarray):
-    """Matrix entries of the panel pairs (i, j), i collocating on j, by graded
-    subdivision toward the point of panel j closest to the centroid of i;
-    yielded as (rows, cols, values) in chunks of about _ROW_BLOCK**2
-    integrand entries."""
+def _assemble_blocks(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.ndarray:
+    """The real-space blocks B_s of ``_Factorization``, (g, m, m), from the
+    rows of sector 0 alone (with g = 1 the one block is the dense matrix),
+    built in pieces of about _ROW_BLOCK**2 integrand entries: the far entries
+    in ``collocation_tiles``, then the self and vertex-adjacent pairs (i, j)
+    by graded subdivision toward the point of panel j closest to the
+    centroid of i."""
+    orbits = mesh.sector_orbits()
+    m, g = orbits.shape
     cents = np.ascontiguousarray(mesh.centroids.T)
     normals = np.ascontiguousarray(mesh.normals.T)
+
+    B = np.empty((g, m, m), dtype=complex)
+    for s in range(g):
+        cols = orbits[:, s]
+        for i, j, vals in collocation_tiles(bc, cents, normals, orbits[:, 0], cols, k, _ROW_BLOCK):
+            np.multiply(vals, mesh.areas[cols[j]], out=B[s, i, j])
+
+    # panel p is O[a, s] with a, s = divmod(place[p], g)
+    place = np.empty(mesh.n_panels, dtype=np.int64)
+    place[orbits.ravel()] = np.arange(mesh.n_panels)
+    pairs = _vertex_adjacency(mesh)
+    pairs = pairs[place[pairs[:, 0]] % g == 0]
     corners = np.ascontiguousarray(mesh.panel_vertices().transpose(1, 2, 0))
     chunk = max(1, _ROW_BLOCK * _ROW_BLOCK // GRADED_LEAVES)
     for lo in range(0, len(pairs), chunk):
@@ -307,65 +325,10 @@ def _near_chunks(mesh: PanelMesh, k: float, bc: BoundaryCondition, pairs: np.nda
         vals = collocation(
             bc, x[:, :, None], normals[:, rows, None], leaf_cents, normals[:, cols, None], k
         )
-        yield rows, cols, np.sum(vals * leaf_areas, axis=1)
-
-
-def _jump(bc: BoundaryCondition) -> float:
-    return 0.5 if bc is BoundaryCondition.DIRICHLET else -0.5
-
-
-def _assemble_matrix(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.ndarray:
-    """The dense collocation matrix, built in pieces of about _ROW_BLOCK**2
-    integrand entries: the far block in square tiles, then the self and
-    vertex-adjacent panels by ``_near_chunks``."""
-    n = mesh.n_panels
-    areas = mesh.areas
-
-    A = np.empty((n, n), dtype=complex)
-    for rows, cols, vals in collocation_tiles(bc, mesh.centroids, mesh.normals, k, _ROW_BLOCK):
-        np.multiply(vals, areas[cols], out=A[rows, cols])
-    for rows, cols, vals in _near_chunks(mesh, k, bc, _vertex_adjacency(mesh)):
-        A[rows, cols] = vals
-
-    A[np.arange(n), np.arange(n)] += _jump(bc)
-    return A
-
-
-def _assemble_blocks(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.ndarray:
-    """The real-space blocks B_s of ``_Factorization``, (g, m, m): on a
-    sector-symmetric mesh only the rows of sector 0 are integrated, from the
-    same integrands as ``_assemble_matrix``; otherwise the one block is the
-    dense matrix."""
-    if mesh.sectors == 1:
-        return _assemble_matrix(mesh, k, bc)[None]
-    orbits = mesh.sector_orbits()
-    m, g = orbits.shape
-    cents = np.ascontiguousarray(mesh.centroids.T)
-    normals = np.ascontiguousarray(mesh.normals.T)
-    rows0 = orbits[:, 0]
-
-    B = np.empty((g, m, m), dtype=complex)
-    for s in range(g):
-        for lo in range(0, m, _ROW_BLOCK):
-            i = slice(lo, lo + _ROW_BLOCK)
-            x = rows0[i]
-            for lo_j in range(0, m, _ROW_BLOCK):
-                j = slice(lo_j, lo_j + _ROW_BLOCK)
-                y = orbits[j, s]
-                vals = collocation(bc, cents[:, x, None], normals[:, x, None],
-                                   cents[:, None, y], normals[:, None, y], k)
-                np.multiply(vals, mesh.areas[y], out=B[s, i, j])
-
-    # panel p is O[a, s] with a, s = divmod(place[p], g)
-    place = np.empty(mesh.n_panels, dtype=np.int64)
-    place[orbits.ravel()] = np.arange(mesh.n_panels)
-    pairs = _vertex_adjacency(mesh)
-    pairs = pairs[place[pairs[:, 0]] % g == 0]
-    for rows, cols, vals in _near_chunks(mesh, k, bc, pairs):
         a, s = np.divmod(place[cols], g)
-        B[s, place[rows] // g, a] = vals
+        B[s, place[rows] // g, a] = np.sum(vals * leaf_areas, axis=1)
 
-    B[0, np.arange(m), np.arange(m)] += _jump(bc)
+    B[0, np.arange(m), np.arange(m)] += 0.5 if bc is BoundaryCondition.DIRICHLET else -0.5
     return B
 
 
@@ -497,7 +460,7 @@ def _check_density_matches(density: LayerDensity, mesh: PanelMesh) -> None:
 def _check_eval_distance(mesh: PanelMesh, pts: np.ndarray) -> None:
     d_direct = np.linalg.norm(pts[:, None, :] - mesh.centroids[None, :, :], axis=-1)
     d_image = np.linalg.norm(pts[:, None, :] - (mesh.centroids * MIRROR)[None, :, :], axis=-1)
-    dist = min(d_direct.min(), d_image.min())
+    dist = min(d_direct.min(initial=np.inf), d_image.min(initial=np.inf))
     if dist < 2.0 * mesh.h:
         raise ProximityError(
             f"evaluation point at distance {dist:.3g} from the surface or its "

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from halfscat.geometry import build_profile, mesh_perturbation
 from halfscat.scene import build_scene, validate_config
+from halfscat.solver import _assemble_blocks
 
 
 def canonical_config(bc="dirichlet", **overrides):
@@ -35,6 +39,22 @@ def flat_scene():
         mesh={"target_h": 0.18},
     )
     return build_scene(validate_config(cfg))
+
+
+@pytest.fixture(scope="session")
+def piecewise_mesh():
+    """A single-peak piecewise-linear surface: no sector symmetry (g = 1)."""
+    heights = np.zeros((7, 7))
+    heights[3, 3] = 0.2
+    profile = build_profile({"kind": "piecewise_linear", "R": 1.0, "heights": heights.tolist()})
+    return mesh_perturbation(profile, 0.125)
+
+
+def dense_matrix(mesh, k, bc):
+    """The dense collocation matrix: the one block of the mesh taken without
+    its sector symmetry.  Assembled directly, since the factorization cache
+    key ignores the sectors."""
+    return _assemble_blocks(dataclasses.replace(mesh, sectors=1), k, bc)[0]
 
 
 def fd_laplacian(f, x, h=1e-3):

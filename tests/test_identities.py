@@ -138,6 +138,8 @@ class TestExtension:
         )
         rep = check_extension(density, mesh, extension_samples(canonical_dirichlet))
         assert rep.abs_err == 0.0
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_extension(density, mesh, np.zeros((0, 3)))
 
 
 class TestRadiationDecay:

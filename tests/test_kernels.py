@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import halfscat.solver as solver_mod
-from conftest import fd_gradient, helmholtz_rel_residual
+from conftest import dense_matrix, fd_gradient, helmholtz_rel_residual
 from halfscat.errors import SingularityError
 from halfscat.geometry import build_profile, mesh_perturbation
 from halfscat.identities import fit_loglog_slope, radiation_residuals
@@ -21,7 +21,7 @@ from halfscat.solver import (
     GRADED_LEAVES,
     DirectionGrid,
     LayerDensity,
-    _assemble_matrix,
+    _assemble_blocks,
     _closest_points_on_triangles,
     _graded_leaves,
     _vertex_adjacency,
@@ -415,7 +415,7 @@ class TestHotPath:
     def test_far_matrix_entries(self, small_bump_mesh, bc):
         mesh = small_bump_mesh
         eta = 2.0 if bc is D else 0.0
-        A = _assemble_matrix(mesh, 2.0, bc)
+        A = dense_matrix(mesh, 2.0, bc)
         far = np.ones(A.shape, dtype=bool)
         far[tuple(np.array(_vertex_adjacency(mesh)).T)] = False
         i, j = np.nonzero(far)
@@ -428,21 +428,24 @@ class TestHotPath:
         assert _rel_max(A[i, j], ref * mesh.areas[j]) <= 1e-13
 
     @pytest.mark.parametrize("bc", [D, N])
-    def test_tile_edge_invariance(self, small_bump_mesh, bc, monkeypatch):
+    def test_tile_edge_invariance(self, small_bump_mesh, piecewise_mesh, bc, monkeypatch):
         """Ragged tiles, diagonal tiles and mirrored tiles give the same bytes
-        as the default tiling, including a single tile larger than the matrix;
-        so do near-block chunks of a few pairs, ragged ones and a single one
-        holding every pair."""
-        mesh = small_bump_mesh
-        ref = _assemble_matrix(mesh, 2.0, bc)
-        n_pairs = len(_vertex_adjacency(mesh))
-        chunks = [max(1, b * b // GRADED_LEAVES) for b in (7, 256, mesh.n_panels + 5)]
-        assert chunks[0] < 5 and chunks[-1] >= n_pairs
-        assert any(n_pairs % c for c in chunks[:-1])
-        for block in (7, 256, mesh.n_panels + 5):
-            monkeypatch.setattr(solver_mod, "_ROW_BLOCK", block)
-            A = _assemble_matrix(mesh, 2.0, bc)
-            assert A.tobytes() == ref.tobytes()
+        in every block as the default tiling, on the sector strip (g = 6) and
+        on the dense matrix (g = 1), including a single tile larger than the
+        matrix; so do near-block chunks of a few pairs, ragged ones and a
+        single one holding every pair of the sector-0 rows."""
+        for mesh in (small_bump_mesh, piecewise_mesh):
+            ref = _assemble_blocks(mesh, 2.0, bc)
+            rows0 = mesh.sector_orbits()[:, 0]
+            n_pairs = np.count_nonzero(np.isin(_vertex_adjacency(mesh)[:, 0], rows0))
+            chunks = [max(1, b * b // GRADED_LEAVES) for b in (7, 256, mesh.n_panels + 5)]
+            assert chunks[0] < 5 and chunks[-1] >= n_pairs
+            assert any(n_pairs % c for c in chunks[:-1])
+            for block in (7, 256, mesh.n_panels + 5):
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver_mod, "_ROW_BLOCK", block)
+                    B = _assemble_blocks(mesh, 2.0, bc)
+                assert [b.tobytes() for b in B] == [b.tobytes() for b in ref]
 
     @pytest.mark.parametrize("bc", [D, N])
     def test_representation(self, small_bump_mesh, bc):

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import halfscat.solver as solver_mod
-from conftest import helmholtz_rel_residual
+from conftest import dense_matrix, helmholtz_rel_residual
 from halfscat.errors import ProximityError, ResonanceError
 from halfscat.geometry import build_profile, mesh_perturbation
 from halfscat.identities import fit_loglog_slope, radiation_residuals
@@ -115,7 +115,7 @@ class TestSolveContract:
 
     @pytest.mark.parametrize("bc", [D, N])
     def test_one_norm_bit_equal_to_numpy(self, small_bump_mesh, bc):
-        A = solver_mod._assemble_matrix(small_bump_mesh, 2.0, bc)
+        A = dense_matrix(small_bump_mesh, 2.0, bc)
         assert solver_mod._one_norm(A) == np.linalg.norm(A, 1)
 
     def test_condition_estimate_non_finite_is_inf(self, monkeypatch):
@@ -135,6 +135,12 @@ class TestEvalScattered:
         )
         val = eval_scattered(density, small_bump_mesh, np.array([0.0, 0.0, 2.0]))
         assert val == 0.0
+
+    def test_no_points_evaluate_to_an_empty_array(self, small_bump_mesh):
+        for bc in (D, N):
+            density = LayerDensity(np.ones(small_bump_mesh.n_panels), bc=bc, k=2.0)
+            val = eval_scattered(density, small_bump_mesh, np.zeros((0, 3)))
+            assert val.shape == (0,) and val.dtype == complex
 
     def test_vanishes_on_plane_beyond_support(self, small_bump_mesh):
         pw = PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D)
@@ -264,3 +270,6 @@ class TestDirectionGrid:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             DirectionGrid.make(0, 3)
+        for bad in ((2.5, 3), (3, 2.5), (True, 3), (3.0, 3)):
+            with pytest.raises(ValueError, match="must be integers"):
+                DirectionGrid.make(*bad)

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 import halfscat.solver as solver_mod
+from conftest import dense_matrix
 from halfscat.geometry import build_profile, mesh_perturbation
 from halfscat.incident import BoundaryCondition, PlaneWave, PointSource
 from halfscat.kernels import GreenKernel, farfield_kernel
@@ -30,7 +31,7 @@ def _sector_shift(mesh):
 
 def _dense_density(mesh, inc):
     """The dense path: lu_solve on the full collocation matrix."""
-    A = solver_mod._assemble_matrix(mesh, inc.k, inc.bc)
+    A = dense_matrix(mesh, inc.k, inc.bc)
     b = solver_mod._right_hand_side(mesh, inc)
     sigma = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
     return LayerDensity(coefficients=sigma, bc=inc.bc, k=inc.k)
@@ -39,14 +40,6 @@ def _dense_density(mesh, inc):
 @pytest.fixture(scope="module")
 def bump_mesh():
     return mesh_perturbation(build_profile(BUMP), 0.085)
-
-
-@pytest.fixture(scope="module")
-def piecewise_mesh():
-    heights = np.zeros((7, 7))
-    heights[3, 3] = 0.2
-    profile = build_profile({"kind": "piecewise_linear", "R": 1.0, "heights": heights.tolist()})
-    return mesh_perturbation(profile, 0.125)
 
 
 class TestOrbits:
@@ -71,14 +64,14 @@ class TestOrbits:
 class TestSectorBlocks:
     @pytest.mark.parametrize("bc", [D, N])
     def test_dense_matrix_is_shift_invariant(self, bump_mesh, bc):
-        A = solver_mod._assemble_matrix(bump_mesh, 2.0, bc)
+        A = dense_matrix(bump_mesh, 2.0, bc)
         shift = _sector_shift(bump_mesh)
         assert _rel_max(A[np.ix_(shift, shift)], A) <= 1e-12
 
     @pytest.mark.parametrize("bc", [D, N])
     def test_blocks_are_the_sector_rows(self, bump_mesh, bc):
         """Every block entry is the dense entry bit for bit."""
-        A = solver_mod._assemble_matrix(bump_mesh, 2.0, bc)
+        A = dense_matrix(bump_mesh, 2.0, bc)
         orbits = bump_mesh.sector_orbits()
         blocks = solver_mod._assemble_blocks(bump_mesh, 2.0, bc)
         for s in range(6):
@@ -88,7 +81,7 @@ class TestSectorBlocks:
     def test_apply_norm_and_condition(self, bump_mesh, bc):
         solver_mod.clear_factorization_cache()
         fact = get_factorization(bump_mesh, 2.0, bc)
-        A = solver_mod._assemble_matrix(bump_mesh, 2.0, bc)
+        A = dense_matrix(bump_mesh, 2.0, bc)
         re, im = np.random.default_rng(3).normal(size=(2, bump_mesh.n_panels))
         x = re + 1j * im
         assert _rel_max(fact.apply(x), A @ x) <= 1e-12
