@@ -8,6 +8,7 @@ validation problems exit with status 2 and a field-level message.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -34,6 +35,14 @@ from .suites import (
 
 OUT_DIR_ENV = "HALFSCAT_OUT"
 SUBCOMMANDS = ("forward", "identities", "maxwell", "indicator", "invert", "convergence")
+# thread-count setters of the OpenBLAS builds numpy and scipy load (their
+# wheels prefix and suffix the symbols) and of a plain OpenBLAS
+BLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scene config file (YAML)")
         p.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV})")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; every solve runs in one thread")
+                       help="accepted for compatibility; every solve, BLAS included, runs "
+                       "in one thread whatever OPENBLAS_NUM_THREADS says")
         p.add_argument("--dry-run", action="store_true", help="validate and print the plan only")
         p.add_argument(
             "--tolerance-scale",
@@ -124,8 +134,36 @@ def _memory_available_mb() -> float | None:
     return None
 
 
+def _pin_blas_threads() -> None:
+    """Set every OpenBLAS runtime mapped into this process to one thread.
+
+    numpy and scipy each load their own pool, sized by OPENBLAS_NUM_THREADS
+    or the core count.  A blocked LU or product splits its sums by thread
+    count, so one thread makes the output bytes independent of the
+    environment; it also saves the CPU a second thread spends on sector
+    blocks of a few hundred rows.  Does nothing where /proc or a library
+    cannot be read.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, name) for name in BLAS_SET_THREADS if hasattr(lib, name)),
+                      None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _pin_blas_threads()
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2

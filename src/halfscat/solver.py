@@ -283,7 +283,8 @@ class _Factorization:
 
 
 # At most one entry, so memory is bounded by the largest system a run
-# factors.  Not locked: the package starts no threads.
+# factors.  Not locked: the package starts no Python thread, and the OpenBLAS
+# pools (set to one thread by `cli.main`) never touch Python objects.
 _FACTOR_CACHE: dict[tuple, _Factorization] = {}
 
 
@@ -477,6 +478,8 @@ def eval_scattered(density: LayerDensity, mesh: PanelMesh, x: np.ndarray) -> np.
     """
     _check_density_matches(density, mesh)
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,):
+        raise ValueError(f"evaluation points must have 3 coordinates, got shape {x.shape}")
     single = x.ndim == 1
     pts = x.reshape(-1, 3)
     if not np.isfinite(pts).all():

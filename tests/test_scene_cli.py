@@ -1,6 +1,10 @@
+import ctypes
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+import halfscat
 import halfscat.cli as cli_mod
 import halfscat.solver as solver_mod
 from conftest import canonical_config
@@ -418,6 +423,51 @@ class TestCli:
         assert main(["maxwell", "--config", flat_config, "--threads", "0"]) == 2
         for scale in ("0", "inf", "nan"):
             assert main(["maxwell", "--config", flat_config, "--tolerance-scale", scale]) == 2
+
+    def test_blas_environment_leaves_output_bytes(self, tmp_path):
+        """OPENBLAS_NUM_THREADS sizes the pools numpy and scipy load; the CLI
+        pins them to one thread, so the output bytes do not depend on it."""
+        cfg = write_config(tmp_path, canonical_config(mesh={"target_h": 0.18}))
+        src = str(Path(halfscat.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            for verb in ("identities", "forward"):
+                subprocess.run([sys.executable, "-m", "halfscat.cli", verb, "--config", cfg,
+                                "--out", str(tmp_path / f"{verb}-{threads}")],
+                               env=env, cwd=tmp_path, check=True, capture_output=True)
+        for name in ("identities/identities.jsonl", "forward/farfield_000.csv",
+                     "forward/density_000.csv"):
+            verb, file = name.split("/")
+            one = (tmp_path / f"{verb}-1" / file).read_bytes()
+            assert one == (tmp_path / f"{verb}-2" / file).read_bytes(), name
+
+    def test_main_pins_blas_threads(self, flat_config, capsys):
+        runtimes = _blas_thread_controls()
+        if not runtimes:
+            pytest.skip("no OpenBLAS runtime mapped into this process")
+        for _, set_threads in runtimes:
+            set_threads(2)
+        assert main(["forward", "--config", flat_config, "--dry-run"]) == 0
+        assert [get_threads() for get_threads, _ in runtimes] == [1] * len(runtimes)
+
+
+def _blas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS runtime mapped
+    into this process."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    controls = []
+    for path in sorted(p for p in paths if p.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for name in cli_mod.BLAS_SET_THREADS:
+            if hasattr(lib, name):
+                get_threads = getattr(lib, name.replace("_set_", "_get_"))
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads = getattr(lib, name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                controls.append((get_threads, set_threads))
+                break
+    return controls
 
 
 class TestSuiteHelpers:

@@ -205,6 +205,13 @@ class TestEvalScattered:
         with pytest.raises(ValueError, match="must be finite"):
             eval_scattered(density, small_bump_mesh, pts)
 
+    @pytest.mark.parametrize("x", [np.zeros(0), np.zeros(2), np.zeros(4), np.float64(2.0),
+                                   np.full((3, 2), 5.0)])
+    def test_points_without_three_coordinates_rejected(self, small_bump_mesh, x):
+        density = LayerDensity(np.ones(small_bump_mesh.n_panels), bc=D, k=2.0)
+        with pytest.raises(ValueError, match="must have 3 coordinates"):
+            eval_scattered(density, small_bump_mesh, x)
+
 
 class TestFarField:
     def test_radial_limit_matches_pattern(self, small_bump_mesh):
