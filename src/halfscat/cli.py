@@ -34,7 +34,6 @@ from .suites import (
 )
 
 OUT_DIR_ENV = "HALFSCAT_OUT"
-SUBCOMMANDS = ("forward", "identities", "maxwell", "indicator", "invert", "convergence")
 # thread-count setters of the OpenBLAS builds numpy and scipy load (their
 # wheels prefix and suffix the symbols) and of a plain OpenBLAS
 BLAS_SET_THREADS = (
@@ -95,15 +94,17 @@ def _print_results(results) -> bool:
     return ok
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_json(path: Path, scene_hash: str, payload: dict) -> None:
+    """One JSON object, the scene hash its first key."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump({"scene_hash": scene_hash, **payload}, fh, indent=2)
 
 
-def _write_jsonl(path: Path, lines) -> None:
+def _write_jsonl(path: Path, scene_hash: str, records) -> None:
+    """One JSON object per line, the scene hash the last key of each."""
     with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        for record in records:
+            fh.write(json.dumps({**record, "scene_hash": scene_hash}) + "\n")
 
 
 def _largest_system(subcommand: str, scene) -> tuple[int, int]:
@@ -246,24 +247,13 @@ def _dispatch(subcommand: str, scene, tol, out_dir: Path) -> bool:
         return _run_forward(scene, out_dir)
     if subcommand == "identities":
         results, reports = run_identities(scene, tol)
-        _write_jsonl(out_dir / "identities.jsonl", [r.to_json_line() for r in reports])
+        _write_jsonl(out_dir / "identities.jsonl", scene.scene_hash,
+                     [r.record() for r in reports])
         return _print_results(results)
     if subcommand == "maxwell":
         results = run_maxwell(scene, tol)
-        _write_jsonl(
-            out_dir / "maxwell.jsonl",
-            [
-                json.dumps(
-                    {
-                        "name": r.name,
-                        "value": r.value,
-                        "passed": r.passed,
-                        "scene_hash": scene.scene_hash,
-                    }
-                )
-                for r in results
-            ],
-        )
+        _write_jsonl(out_dir / "maxwell.jsonl", scene.scene_hash,
+                     [{"name": r.name, "value": r.value, "passed": r.passed} for r in results])
         return _print_results(results)
     if subcommand == "indicator":
         results, descend, offline = run_indicator(scene, tol)
@@ -276,8 +266,7 @@ def _dispatch(subcommand: str, scene, tol, out_dir: Path) -> bool:
         results, recovered, report = run_invert(scene, tol)
         export_inversion_trace_csv(report, out_dir / "inversion_trace.csv",
                                    scene_hash=scene.scene_hash)
-        _write_json(out_dir / "inversion_result.json", {
-            "scene_hash": scene.scene_hash,
+        _write_json(out_dir / "inversion_result.json", scene.scene_hash, {
             "recovered": recovered.values.tolist(),
             "iterations": report.iterations,
             "stop_reason": report.stop_reason,
@@ -286,8 +275,7 @@ def _dispatch(subcommand: str, scene, tol, out_dir: Path) -> bool:
         return _print_results(results)
     if subcommand == "convergence":
         results = run_convergence(scene, tol)
-        _write_json(out_dir / "convergence.json", {
-            "scene_hash": scene.scene_hash,
+        _write_json(out_dir / "convergence.json", scene.scene_hash, {
             "value": results[0].value,
             "passed": results[0].passed,
         })
@@ -298,11 +286,11 @@ def _dispatch(subcommand: str, scene, tol, out_dir: Path) -> bool:
 def _run_forward(scene, out_dir: Path) -> bool:
     export_mesh_csv(scene.mesh, out_dir / "mesh.csv", scene_hash=scene.scene_hash)
     solves = [solve_scattered(scene.mesh, inc) for inc in scene.incidents]
-    patterns = eval_farfields([density for density, _ in solves], scene.mesh, scene.grid,
-                              scene.scene_hash)
+    patterns = eval_farfields([density for density, _ in solves], scene.mesh, scene.grid)
     report_payload = []
     for i, ((density, report), pattern) in enumerate(zip(solves, patterns)):
-        export_farfield_csv(pattern, out_dir / f"farfield_{i:03d}.csv")
+        export_farfield_csv(pattern, out_dir / f"farfield_{i:03d}.csv",
+                            scene_hash=scene.scene_hash)
         export_density_csv(density, out_dir / f"density_{i:03d}.csv",
                            scene_hash=scene.scene_hash)
         report_payload.append({"incident": i, **dataclasses.asdict(report)})
@@ -310,8 +298,7 @@ def _run_forward(scene, out_dir: Path) -> bool:
             f"[PASS] forward[{i}]: residual {report.residual_norm:.3e} "
             f"(<= 1e-10 * rhs norm {report.rhs_norm:.3e})"
         )
-    _write_json(out_dir / "solve_report.json",
-                {"scene_hash": scene.scene_hash, "solves": report_payload})
+    _write_json(out_dir / "solve_report.json", scene.scene_hash, {"solves": report_payload})
     return True
 
 

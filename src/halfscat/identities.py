@@ -8,7 +8,6 @@ tautology of the matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,21 +37,17 @@ class IdentityReport:
     rhs: complex
     abs_err: float
     rel_err: float
-    scene_hash: str = ""
 
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "lhs_re": self.lhs.real,
-                "lhs_im": self.lhs.imag,
-                "rhs_re": self.rhs.real,
-                "rhs_im": self.rhs.imag,
-                "abs_err": self.abs_err,
-                "rel_err": self.rel_err,
-                "scene_hash": self.scene_hash,
-            }
-        )
+    def record(self) -> dict:
+        return {
+            "name": self.name,
+            "lhs_re": self.lhs.real,
+            "lhs_im": self.lhs.imag,
+            "rhs_re": self.rhs.real,
+            "rhs_im": self.rhs.imag,
+            "abs_err": self.abs_err,
+            "rel_err": self.rel_err,
+        }
 
 
 @dataclass(frozen=True)
@@ -62,32 +57,22 @@ class SlopeReport:
     radii: np.ndarray
     residuals: np.ndarray
     vacuous: bool
-    scene_hash: str = ""
 
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "slope": self.slope,
-                "r_min": float(self.radii[0]),
-                "r_max": float(self.radii[-1]),
-                "vacuous": self.vacuous,
-                "scene_hash": self.scene_hash,
-            }
-        )
+    def record(self) -> dict:
+        return {
+            "name": self.name,
+            "slope": self.slope,
+            "r_min": float(self.radii[0]),
+            "r_max": float(self.radii[-1]),
+            "vacuous": self.vacuous,
+        }
 
 
-def _report(name, lhs, rhs, scene_hash) -> IdentityReport:
+def _report(name, lhs, rhs) -> IdentityReport:
     lhs = complex(lhs)
     rhs = complex(rhs)
-    return IdentityReport(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=abs(lhs - rhs),
-        rel_err=relative_error(lhs, rhs),
-        scene_hash=scene_hash,
-    )
+    return IdentityReport(name=name, lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs),
+                          rel_err=relative_error(lhs, rhs))
 
 
 def check_mixed_reciprocity(scene, d: np.ndarray, z: np.ndarray) -> IdentityReport:
@@ -102,7 +87,7 @@ def check_mixed_reciprocity(scene, d: np.ndarray, z: np.ndarray) -> IdentityRepo
     ps = PointSource(z=z, k=scene.k, bc=scene.bc)
     dens_ps, _ = solve_scattered(scene.mesh, ps)
     lhs = 4 * np.pi * eval_farfield(dens_ps, scene.mesh, DirectionGrid.single(-d)).values[0]
-    return _report("mixed_reciprocity", lhs, rhs, scene.scene_hash)
+    return _report("mixed_reciprocity", lhs, rhs)
 
 
 def check_point_symmetry(scene, x: np.ndarray, y: np.ndarray) -> IdentityReport:
@@ -117,11 +102,11 @@ def check_point_symmetry(scene, x: np.ndarray, y: np.ndarray) -> IdentityReport:
     src_x = PointSource(z=x, k=scene.k, bc=scene.bc)
     dens_x, _ = solve_scattered(scene.mesh, src_x)
     rhs = eval_scattered(dens_x, scene.mesh, y)
-    return _report("point_symmetry", lhs, rhs, scene.scene_hash)
+    return _report("point_symmetry", lhs, rhs)
 
 
 def check_reflected_farfield(
-    z: np.ndarray, d: np.ndarray, k: float, bc: BoundaryCondition, scene_hash: str = ""
+    z: np.ndarray, d: np.ndarray, k: float, bc: BoundaryCondition
 ) -> IdentityReport:
     """Closed-form identity for the reflected wave alone: 4*pi times the image
     source's far-field coefficient at -d equals the reflected plane wave at z.
@@ -135,15 +120,10 @@ def check_reflected_farfield(
     # reflected plane wave evaluated at the source position
     d_spec = d * MIRROR
     rhs = s * np.exp(1j * k * np.dot(d_spec, z))
-    return _report("reflected_farfield", lhs, rhs, scene_hash)
+    return _report("reflected_farfield", lhs, rhs)
 
 
-def check_extension(
-    density: LayerDensity,
-    mesh,
-    samples: np.ndarray,
-    scene_hash: str = "",
-) -> IdentityReport:
+def check_extension(density: LayerDensity, mesh, samples: np.ndarray) -> IdentityReport:
     """Evaluate the representation above and below the plane at mirrored
     sample pairs; the odd (sound-soft) or even (sound-hard) extension, as
     ``density.bc`` says, makes the two agree up to sign.  Reports the worst
@@ -156,7 +136,7 @@ def check_extension(
     expected = -up if density.bc is BoundaryCondition.DIRICHLET else up
     resid = np.abs(down - expected)
     worst = int(np.argmax(resid))
-    rep = _report("extension", down[worst], expected[worst], scene_hash)
+    rep = _report("extension", down[worst], expected[worst])
     return replace(rep, abs_err=float(resid.max()))
 
 
@@ -177,9 +157,7 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def check_radiation_decay(
-    density: LayerDensity, mesh, xhat: np.ndarray, scene_hash: str = ""
-) -> SlopeReport:
+def check_radiation_decay(density: LayerDensity, mesh, xhat: np.ndarray) -> SlopeReport:
     """Sommerfeld-residual decay of the solved field along a ray: least-squares
     log-log slope over DECAY_RADII radii in [10R, 100R]; the far-field
     expansion forces an exponent of -2."""
@@ -195,7 +173,6 @@ def check_radiation_decay(
         radii=radii,
         residuals=resid,
         vacuous=vacuous,
-        scene_hash=scene_hash,
     )
 
 

@@ -143,10 +143,13 @@ def validate_config(raw: dict) -> SceneConfig:
         regularization = as_float(regularization, "invert.regularization")
         if regularization < 0:
             raise SceneConfigError("invert.regularization", f"must be >= 0, got {regularization!r}")
+    noise_level = as_float(invert.get("noise_level", 0.01), "invert.noise_level")
+    if noise_level < 0:
+        raise SceneConfigError("invert.noise_level", f"must be >= 0, got {noise_level!r}")
     invert = {
         "init": [as_float(v, f"invert.init[{i}]") for i, v in enumerate(init)],
         "data_target_h": as_float(invert.get("data_target_h", 0.07), "invert.data_target_h", True),
-        "noise_level": as_float(invert.get("noise_level", 0.01), "invert.noise_level"),
+        "noise_level": noise_level,
         "max_iterations": as_int(invert.get("max_iterations", 25), "invert.max_iterations", 1),
         "fd_step": as_float(invert.get("fd_step", 1e-5), "invert.fd_step", positive=True),
         "regularization": regularization,

@@ -121,8 +121,6 @@ class FarFieldPattern:
     k: float
     bc: BoundaryCondition
     mesh_h: float
-    mesh_hash: str
-    scene_hash: str = ""
 
     @property
     def directions(self) -> np.ndarray:
@@ -495,7 +493,6 @@ def eval_farfields(
     densities: list[LayerDensity],
     mesh: PanelMesh,
     grid: DirectionGrid,
-    scene_hash: str = "",
 ) -> list[FarFieldPattern]:
     """Far-field patterns of several densities on one mesh and grid.
 
@@ -521,36 +518,21 @@ def eval_farfields(
         F = farfield_matrix(kern, dirs[lo:hi], mesh.centroids, mesh.areas, normals)
         values[:, lo:hi] = (F @ sigma).T
     values.setflags(write=False)
-    return [
-        FarFieldPattern(
-            grid=grid,
-            values=row,
-            k=first.k,
-            bc=first.bc,
-            mesh_h=mesh.h,
-            mesh_hash=mesh.content_hash,
-            scene_hash=scene_hash,
-        )
-        for row in values
-    ]
+    return [FarFieldPattern(grid=grid, values=row, k=first.k, bc=first.bc, mesh_h=mesh.h)
+            for row in values]
 
 
-def eval_farfield(
-    density: LayerDensity,
-    mesh: PanelMesh,
-    grid: DirectionGrid,
-    scene_hash: str = "",
-) -> FarFieldPattern:
+def eval_farfield(density: LayerDensity, mesh: PanelMesh, grid: DirectionGrid) -> FarFieldPattern:
     """Far-field pattern of the representation on a hemisphere grid."""
-    return eval_farfields([density], mesh, grid, scene_hash)[0]
+    return eval_farfields([density], mesh, grid)[0]
 
 
-def export_farfield_csv(pattern: FarFieldPattern, path) -> None:
+def export_farfield_csv(pattern: FarFieldPattern, path, scene_hash: str = "") -> None:
     """CSV with a provenance header line, then theta, phi, re, im rows."""
     write_table(
         path,
         f"k={pattern.k:.17g} bc={pattern.bc.value} mesh_h={pattern.mesh_h:.17g} "
-        f"scene={pattern.scene_hash}",
+        f"scene={scene_hash}",
         ["theta", "phi", "re", "im"],
         [pattern.grid.theta, pattern.grid.phi, pattern.values.real, pattern.values.imag],
     )

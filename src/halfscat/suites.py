@@ -198,9 +198,9 @@ def extension_samples(scene):
 
 def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     """Full identity suite on one scene; returns CheckResults plus the raw
-    reports (identity JSON-line records and slope reports).  The h/2 check
-    runs after every solve on the scene mesh, so the one cached factorization
-    serves each mesh in turn; its records still follow the mixed ones."""
+    identity and slope reports.  The h/2 check runs after every solve on the
+    scene mesh, so the one cached factorization serves each mesh in turn; its
+    records still follow the mixed ones."""
     results: list[CheckResult] = []
     reports: list[IdentityReport | SlopeReport] = []
 
@@ -220,23 +220,22 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     worst = 0.0
     for bc in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
         for z, d, k in reflected_farfield_triples(scene.seed):
-            rep = check_reflected_farfield(z, d, k, bc, scene.scene_hash)
+            rep = check_reflected_farfield(z, d, k, bc)
             worst = max(worst, rep.rel_err)
     reports.append(IdentityReport(name="reflected_farfield_worst", lhs=0.0, rhs=0.0,
-                                  abs_err=worst, rel_err=worst, scene_hash=scene.scene_hash))
+                                  abs_err=worst, rel_err=worst))
     results.append(at_most("reflected_farfield", worst, tol.reflected_farfield,
                            "rel_err <= {:g} on 100 triples, both bcs"))
 
     density, _ = solve_scattered(scene.mesh, scene.incidents[0])
-    ext = check_extension(density, scene.mesh, extension_samples(scene), scene.scene_hash)
+    ext = check_extension(density, scene.mesh, extension_samples(scene))
     reports.append(ext)
     results.append(at_most("extension", ext.abs_err, tol.extension,
                            "max mirrored residual <= {:g}"))
 
     lo = tol.decay_slope_center - tol.decay_slope_halfwidth
     hi = tol.decay_slope_center + tol.decay_slope_halfwidth
-    decay = check_radiation_decay(density, scene.mesh, np.array([0.0, 0.0, 1.0]),
-                                  scene_hash=scene.scene_hash)
+    decay = check_radiation_decay(density, scene.mesh, np.array([0.0, 0.0, 1.0]))
     reports.append(decay)
     check = within("radiation_decay", decay.slope, lo, hi)
     # a scene that scatters nothing has no decay to fit and passes vacuously
@@ -387,10 +386,10 @@ def run_convergence(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     """Far-field max-norm self-convergence between h and h/2."""
     inc = scene.incidents[0]
     coarse, _ = solve_scattered(scene.mesh, inc)
-    f_coarse = eval_farfield(coarse, scene.mesh, scene.grid, scene.scene_hash).values
+    f_coarse = eval_farfield(coarse, scene.mesh, scene.grid).values
     fine_scene = refine_scene(scene)
     fine, _ = solve_scattered(fine_scene.mesh, inc)
-    f_fine = eval_farfield(fine, fine_scene.mesh, scene.grid, scene.scene_hash).values
+    f_fine = eval_farfield(fine, fine_scene.mesh, scene.grid).values
     gap = float(np.max(np.abs(f_coarse - f_fine)))
     denom = float(np.max(np.abs(f_fine)))
     rel = gap / denom if denom > 0 else (0.0 if gap == 0 else np.inf)

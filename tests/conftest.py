@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from halfscat.cli import _pin_blas_threads
 from halfscat.geometry import build_profile, mesh_perturbation
 from halfscat.scene import build_scene, validate_config
 from halfscat.solver import _assemble_blocks
@@ -20,6 +21,13 @@ def canonical_config(bc="dirichlet", **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+@pytest.fixture(scope="session", autouse=True)
+def blas_one_thread():
+    """Run every test with its BLAS on one thread, as the CLI runs, so that
+    no result depends on whether an in-process CLI call came first."""
+    _pin_blas_threads()
 
 
 @pytest.fixture(scope="session")

@@ -147,6 +147,13 @@ class TestConfigValidation:
         for value in (0.0, 2.5, None):
             cfg = validate_config(canonical_config(invert={"regularization": value}))
             assert cfg.invert["regularization"] == value
+        # a negative noise level would flip the noise's sign under a new hash
+        with pytest.raises(SceneConfigError) as exc:
+            validate_config(canonical_config(invert={"noise_level": -0.5}))
+        assert exc.value.field == "invert.noise_level"
+        for value in (0.0, 0.5):
+            cfg = validate_config(canonical_config(invert={"noise_level": value}))
+            assert cfg.invert["noise_level"] == value
 
     def test_yaml_whitespace_irrelevant_to_hash(self, tmp_path):
         base = canonical_config()
@@ -269,6 +276,7 @@ class TestCli:
         lines = (tmp_path / "id" / "identities.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert any(r.get("name") == "mixed_reciprocity" for r in records)
+        assert_stamped(tmp_path / "id", out)
 
     def test_threads_numerically_identical(self, flat_config, tmp_path, capsys):
         assert main(["identities", "--config", flat_config, "--out", str(tmp_path / "t1"),
@@ -346,6 +354,7 @@ class TestCli:
         path = write_config(tmp_path, cfg)
         solver_mod.clear_factorization_cache()
         assert main(["forward", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert_stamped(tmp_path / "o", capsys.readouterr().out)
         solves = json.loads((tmp_path / "o" / "solve_report.json").read_text())["solves"]
         assert [s["cache_hit"] for s in solves] == [False, True]
         assert solves[0]["assembly_time_s"] > 0 and solves[0]["factor_time_s"] > 0
@@ -378,8 +387,17 @@ class TestCli:
         path = write_config(tmp_path, cfg)
         code = main(["convergence", "--config", path, "--out", str(tmp_path / "cv")])
         assert code == 0
+        assert_stamped(tmp_path / "cv", capsys.readouterr().out)
         payload = json.loads((tmp_path / "cv" / "convergence.json").read_text())
         assert payload["passed"] and payload["value"] <= 5e-2
+
+    def test_invert_subcommand(self, tmp_path, capsys):
+        path = write_config(tmp_path, canonical_config(mesh={"target_h": 0.18},
+                                                       invert={"data_target_h": 0.125}))
+        assert main(["invert", "--config", path, "--out", str(tmp_path / "inv")]) == 0
+        assert_stamped(tmp_path / "inv", capsys.readouterr().out)
+        result = json.loads((tmp_path / "inv" / "inversion_result.json").read_text())
+        assert len(result["recovered"]) == 2 and result["iterations"] >= 1
 
     def test_forward_density_schema(self, flat_config, tmp_path, capsys):
         assert main(["forward", "--config", flat_config, "--out", str(tmp_path / "f")]) == 0
@@ -390,6 +408,7 @@ class TestCli:
     def test_maxwell_subcommand(self, flat_config, tmp_path, capsys):
         code = main(["maxwell", "--config", flat_config, "--out", str(tmp_path / "mx")])
         assert code == 0
+        assert_stamped(tmp_path / "mx", capsys.readouterr().out)
         lines = (tmp_path / "mx" / "maxwell.jsonl").read_text().splitlines()
         assert len(lines) == 5
         assert all(json.loads(line)["passed"] for line in lines)
@@ -449,6 +468,22 @@ class TestCli:
             set_threads(2)
         assert main(["forward", "--config", flat_config, "--dry-run"]) == 0
         assert [get_threads() for get_threads, _ in runtimes] == [1] * len(runtimes)
+
+
+def assert_stamped(out_dir: Path, stdout: str) -> None:
+    """Every JSON artifact of a CLI run carries the scene hash the run
+    printed: the first key of a .json file, the last key of each .jsonl
+    record."""
+    stamp = ("scene_hash", re.search(r"^scene (\w+): ", stdout, re.MULTILINE).group(1))
+    paths = sorted(out_dir.glob("*.json*"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        if path.suffix == ".jsonl":
+            for line in text.splitlines():
+                assert list(json.loads(line).items())[-1] == stamp, (path.name, line)
+        else:
+            assert next(iter(json.loads(text).items())) == stamp, path.name
 
 
 def _blas_thread_controls():

@@ -40,8 +40,6 @@ def test_farfield_bytes(tmp_path):
         k=2.5,
         bc=BoundaryCondition.NEUMANN,
         mesh_h=0.125,
-        mesh_hash="m",
-        scene_hash="",
     )
     path = tmp_path / "f.csv"
     export_farfield_csv(pattern, path)
