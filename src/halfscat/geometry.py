@@ -8,7 +8,6 @@ half-space kernels satisfy the boundary condition on the flat part exactly.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -18,15 +17,6 @@ from .errors import DippingProfileError, SceneConfigError
 from .util import as_float, as_mapping, check_keys, require, scene_comment, write_table
 
 PROFILE_KINDS = ("zero", "gaussian_bump", "piecewise_linear")
-
-
-def _hash_arrays(*arrays, tag: str = "") -> str:
-    sha = hashlib.sha256(tag.encode())
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        sha.update(str(a.shape).encode())
-        sha.update(a.tobytes())
-    return sha.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -258,11 +248,9 @@ class PanelMesh:
     """Flat-triangle mesh of the perturbed disc, lifted to the graph of f.
 
     ``vertices``/``triangles`` give the structured ring triangulation;
-    centroids, areas and upward unit normals are per panel.  ``grid_hash``
-    identifies the discretization rule alone (ring count and disc radius,
-    not the heights), which is what the inverse-crime guard compares.
-    ``sectors`` is the order of the rotation group the mesh is invariant
-    under: 6 for a radial profile on the ring grid, else 1.
+    centroids, areas and upward unit normals are per panel.  ``sectors`` is
+    the order of the rotation group the mesh is invariant under: 6 for a
+    radial profile on the ring grid, else 1.
     """
 
     vertices: np.ndarray
@@ -273,8 +261,6 @@ class PanelMesh:
     h: float
     n_rings: int
     support_radius: float
-    content_hash: str
-    grid_hash: str
     sectors: int = 1
 
     @property
@@ -335,6 +321,12 @@ def _disc_grid(n: int):
     return verts, np.array(tris, dtype=np.int64)
 
 
+def ring_count(R: float, target_h: float) -> int:
+    """Rings of the disc grid of radius R at panel size ~ target_h; the
+    inverse-crime guard compares this for the data and inversion meshes."""
+    return math.ceil(R / target_h)
+
+
 def mesh_perturbation(profile: SurfaceProfile, target_h: float) -> PanelMesh:
     """Triangulate the disc |x~| <= R with panels of size ~ target_h and lift
     the vertices onto the graph of the profile.  Rim vertices keep x3 = 0
@@ -349,7 +341,7 @@ def mesh_perturbation(profile: SurfaceProfile, target_h: float) -> PanelMesh:
             "profile was built with allow_dip; the image-kernel solver paths "
             "are invalid for dipping perturbations and refuse to mesh them"
         )
-    n = math.ceil(R / target_h)
+    n = ring_count(R, target_h)
     verts2d, tris = _disc_grid(n)
     verts2d = verts2d * R
     z = profile.height(verts2d)
@@ -380,8 +372,6 @@ def mesh_perturbation(profile: SurfaceProfile, target_h: float) -> PanelMesh:
         h=R / n,
         n_rings=n,
         support_radius=R,
-        content_hash=_hash_arrays(vertices, tris, tag="mesh-v1"),
-        grid_hash=_hash_arrays(np.array([float(n), R]), tag="rings-v1"),
         # the union-jack grid of a piecewise-linear profile is not C6-invariant
         sectors=1 if profile.kind == "piecewise_linear" else 6,
     )

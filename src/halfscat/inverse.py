@@ -5,7 +5,7 @@ indicator that lights up as probes approach the sound-soft perturbation,
 damped Gauss-Newton recovery of parametric profiles from far-field data, and
 a single-incidence distinguishability measure for polyhedral-type profiles.
 Synthetic data must come from a different mesh discretization than the
-inversion uses; the grid-hash guard makes that inverse-crime check mandatory.
+inversion uses; the ring-count guard makes that inverse-crime check mandatory.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InverseCrimeError, ProximityError
-from .geometry import SurfaceProfile, build_profile, mesh_perturbation
+from .geometry import SurfaceProfile, build_profile, mesh_perturbation, ring_count
 from .incident import IncidentWave, PointSource
 from .solver import DirectionGrid, eval_farfield, eval_farfields, eval_scattered, solve_scattered
 from .util import scene_comment, write_table
@@ -130,13 +130,15 @@ class InversionConfig:
     max_iterations: int = 25
     fd_step: float = 1e-5
     target_h: float = 0.1
-    data_grid_hash: str = ""
+    data_target_h: float | None = None  # mesh size the data was generated at
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
         if not (self.fd_step > 0 and self.target_h > 0):
             raise ValueError("steps and mesh size must be positive")
+        if self.data_target_h is not None and not self.data_target_h > 0:
+            raise ValueError(f"data_target_h must be None or > 0, got {self.data_target_h!r}")
         alpha = self.regularization
         if alpha is not None and not (np.isfinite(alpha) and alpha >= 0):
             raise ValueError(f"regularization must be None or finite and >= 0, got {alpha!r}")
@@ -201,17 +203,18 @@ def invert_profile(
     The Jacobian is finite-difference column by column; steps are halved until
     the objective decreases; iteration stops when the relative step drops
     below STEP_TOLERANCE or the iteration cap is hit.  Refuses to run when
-    the data's mesh discretization matches the inversion mesh (inverse crime).
+    the data's mesh has as many rings as the inversion mesh (inverse crime).
     """
     data = np.asarray(data, dtype=complex).ravel()
     n_expected = len(incidents) * grid.size
     if data.size != n_expected:
         raise ValueError(f"data length {data.size} != |incidents| * |grid| = {n_expected}")
-    probe_mesh = mesh_perturbation(init.to_profile(), cfg.target_h)
-    if cfg.data_grid_hash and cfg.data_grid_hash == probe_mesh.grid_hash:
+    R = init.support_radius
+    rings = ring_count(R, cfg.target_h)
+    if cfg.data_target_h is not None and ring_count(R, cfg.data_target_h) == rings:
         raise InverseCrimeError(
             "synthetic data was generated on the same mesh discretization "
-            f"(grid hash {probe_mesh.grid_hash}) as the inversion mesh; "
+            f"({rings} rings) as the inversion mesh; "
             "regenerate the data on a different target_h"
         )
 

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .errors import ProximityError, ResonanceError, SolveError
 from .geometry import PanelMesh
-from .incident import IncidentWave, PlaneWave, PointSource, eval_pair, grad_pair
+from .incident import IncidentWave, PointSource, eval_pair, grad_pair
 from .kernels import (
     MIRROR,
     BoundaryCondition,
@@ -242,7 +242,8 @@ class _Factorization:
 
     A commutes with the rotation by one sector, so A[O[a, r], O[b, r + s]] =
     B_s[a, b] and A is block-diagonal in the sector-Fourier basis.  With
-    g = 1 the one block is the dense matrix and its LU is A's."""
+    g = 1 the one block is the dense matrix and its LU is A's.  Each LU is
+    factored in place, so a solve holds the blocks and their factors only."""
 
     orbits: np.ndarray  # (m, g) panel indices, m = n / g
     blocks: np.ndarray  # (g, m, m)
@@ -253,9 +254,11 @@ class _Factorization:
 
     @classmethod
     def factor(cls, orbits: np.ndarray, blocks: np.ndarray) -> "_Factorization":
-        g = len(blocks)
-        fourier = blocks if g == 1 else g * np.fft.ifft(blocks, axis=0)
-        return cls(orbits, blocks, [scipy.linalg.lu_factor(b) for b in fourier])
+        # Fortran-ordered blocks, so lu_factor overwrites them instead of copying
+        F = np.empty(blocks.shape, dtype=complex).transpose(0, 2, 1)
+        np.fft.ifft(blocks, axis=0, out=F)
+        F *= len(blocks)
+        return cls(orbits, blocks, [scipy.linalg.lu_factor(b, overwrite_a=True) for b in F])
 
     def solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
         """A^-1 b, or (A^H)^-1 b with trans=2.  The right-hand side goes to
@@ -281,9 +284,11 @@ class _Factorization:
 
 
 # At most one entry, so memory is bounded by the largest system a run
-# factors.  Not locked: the package starts no Python thread, and the OpenBLAS
-# pools (set to one thread by `cli.main`) never touch Python objects.
-_FACTOR_CACHE: dict[tuple, _Factorization] = {}
+# factors.  Keyed by the mesh object: the entry keeps the mesh alive, so its
+# id is not reused while the entry lives, and an equal mesh built afresh
+# factors again.  Not locked: the package starts no Python thread, and the
+# OpenBLAS pools (set to one thread by `cli.main`) never touch Python objects.
+_FACTOR_CACHE: dict[tuple, tuple[PanelMesh, _Factorization]] = {}
 
 
 def clear_factorization_cache() -> None:
@@ -367,7 +372,7 @@ def _condition_estimate(fact: _Factorization) -> float:
 
 
 def _cache_key(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> tuple:
-    return (mesh.content_hash, float(k), bc.value)
+    return (id(mesh), float(k), bc.value)
 
 
 def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Factorization:
@@ -375,9 +380,8 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
     for this mesh/wavenumber/boundary condition.  A miss drops the cached
     factorization first, so the old and new systems are never held together."""
     key = _cache_key(mesh, k, bc)
-    fact = _FACTOR_CACHE.get(key)
-    if fact is not None:
-        return fact
+    if key in _FACTOR_CACHE:
+        return _FACTOR_CACHE[key][1]
 
     _FACTOR_CACHE.clear()
     t0 = time.perf_counter()
@@ -398,7 +402,7 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
             f"condition estimate {cond:.2e} exceeds {CONDITION_LIMIT:.0e} for the "
             "combined-field system"
         )
-    _FACTOR_CACHE[key] = fact
+    _FACTOR_CACHE[key] = mesh, fact
     return fact
 
 

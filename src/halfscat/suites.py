@@ -359,22 +359,21 @@ def synthesize_invert_data(scene):
     noise = noise_rms * (
         rng.standard_normal(clean.size) + 1j * rng.standard_normal(clean.size)
     ) / np.sqrt(2.0)
-    data_mesh = mesh_perturbation(truth.to_profile(), cfg["data_target_h"])
-    return truth, clean + noise, data_mesh.grid_hash
+    return truth, clean + noise
 
 
 def run_invert(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     """Recover the bump parameters from the synthetic data; passes when every
     parameter lands within the relative tolerance of the truth."""
     cfg = scene.config.invert
-    truth, data, data_grid_hash = synthesize_invert_data(scene)
+    truth, data = synthesize_invert_data(scene)
     init = ProfileParams.bump(cfg["init"][0], cfg["init"][1], scene.profile.support_radius)
     inv_cfg = InversionConfig(
         regularization=cfg["regularization"],
         max_iterations=cfg["max_iterations"],
         fd_step=cfg["fd_step"],
         target_h=scene.config.mesh["target_h"],
-        data_grid_hash=data_grid_hash,
+        data_target_h=cfg["data_target_h"],
     )
     recovered, report = invert_profile(data, list(scene.incidents), scene.grid, inv_cfg, init)
     rel = np.abs(recovered.values - truth.values) / np.abs(truth.values)

@@ -60,8 +60,7 @@ def piecewise_mesh():
 
 def dense_matrix(mesh, k, bc):
     """The dense collocation matrix: the one block of the mesh taken without
-    its sector symmetry.  Assembled directly, since the factorization cache
-    key ignores the sectors."""
+    its sector symmetry."""
     return _assemble_blocks(dataclasses.replace(mesh, sectors=1), k, bc)[0]
 
 

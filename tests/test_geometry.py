@@ -11,6 +11,7 @@ from halfscat.geometry import (
     export_mesh_csv,
     mesh_perturbation,
     mirror,
+    ring_count,
 )
 
 
@@ -177,7 +178,7 @@ class TestMesh:
         with pytest.raises(DippingProfileError):
             mesh_perturbation(dipped, 0.1)
 
-    def test_hashes_identify_grid_and_content(self):
+    def test_ring_count_identifies_grid(self):
         flat = build_profile({"kind": "zero", "R": 1.0})
         bump = build_profile(
             {"kind": "gaussian_bump", "R": 1.0, "amplitude": 0.3, "width": 0.25}
@@ -185,9 +186,10 @@ class TestMesh:
         m1 = mesh_perturbation(flat, 0.125)
         m2 = mesh_perturbation(bump, 0.125)
         m3 = mesh_perturbation(bump, 0.25)
-        assert m1.grid_hash == m2.grid_hash  # same discretization rule
-        assert m1.content_hash != m2.content_hash  # different surfaces
-        assert m2.grid_hash != m3.grid_hash
+        # same discretization rule on different surfaces
+        assert m1.n_rings == m2.n_rings == ring_count(1.0, 0.125)
+        assert not np.array_equal(m1.vertices, m2.vertices)
+        assert m2.n_rings != m3.n_rings == ring_count(1.0, 0.25)
 
     def test_export_csv(self, tmp_path):
         mesh = mesh_perturbation(build_profile({"kind": "zero", "R": 1.0}), 0.25)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from halfscat.errors import InverseCrimeError, ProximityError
-from halfscat.geometry import build_profile, mesh_perturbation
+from halfscat.geometry import build_profile
 from halfscat.incident import BoundaryCondition, PlaneWave
 from halfscat.inverse import (
     InversionConfig,
@@ -26,8 +26,7 @@ def make_data(truth, incidents, target_h, seed=613, noise_level=0.01):
     noise = rms * (
         rng.standard_normal(clean.size) + 1j * rng.standard_normal(clean.size)
     ) / np.sqrt(2.0)
-    grid_hash = mesh_perturbation(truth.to_profile(), target_h).grid_hash
-    return clean + noise, grid_hash
+    return clean + noise
 
 
 class TestProfileParams:
@@ -141,9 +140,15 @@ def test_regularization_accepts_none_and_finite_nonnegative(alpha):
     assert InversionConfig(regularization=alpha).regularization == alpha
 
 
+@pytest.mark.parametrize("h", [0.0, -0.07, np.nan])
+def test_data_target_h_must_be_positive(h):
+    with pytest.raises(ValueError, match="data_target_h"):
+        InversionConfig(data_target_h=h)
+
+
 class TestInvertProfile:
     def test_init_at_truth_is_fixed_point(self):
-        # data generated on the inversion mesh itself (guard hash omitted) so
+        # data generated on the inversion mesh itself (data_target_h omitted) so
         # the residual vanishes identically and the zero update is accepted
         truth = ProfileParams.bump(0.3, 0.25)
         data = forward_map(truth, [PW], GRID, 0.1)
@@ -155,15 +160,22 @@ class TestInvertProfile:
 
     def test_inverse_crime_guard(self):
         truth = ProfileParams.bump(0.3, 0.25)
-        data, grid_hash = make_data(truth, [PW], target_h=0.1)
-        cfg = InversionConfig(target_h=0.1, data_grid_hash=grid_hash)
+        data = make_data(truth, [PW], target_h=0.1)
+        cfg = InversionConfig(target_h=0.1, data_target_h=0.1)
         with pytest.raises(InverseCrimeError, match="same mesh discretization"):
             invert_profile(data, [PW], GRID, cfg, ProfileParams.bump(0.15, 0.4))
 
+    def test_inverse_crime_guard_compares_ring_counts(self):
+        # target_h 0.1 and 0.105 both grid the unit disc with 10 rings
+        cfg = InversionConfig(target_h=0.1, data_target_h=0.105)
+        with pytest.raises(InverseCrimeError, match="10 rings"):
+            invert_profile(np.zeros(GRID.size, dtype=complex), [PW], GRID, cfg,
+                           ProfileParams.bump(0.15, 0.4))
+
     def test_bump_recovery_within_tolerance(self):
         truth = ProfileParams.bump(0.3, 0.25)
-        data, grid_hash = make_data(truth, [PW], target_h=0.085)
-        cfg = InversionConfig(target_h=0.1, data_grid_hash=grid_hash)
+        data = make_data(truth, [PW], target_h=0.085)
+        cfg = InversionConfig(target_h=0.1, data_target_h=0.085)
         recovered, report = invert_profile(data, [PW], GRID, cfg, ProfileParams.bump(0.15, 0.4))
         rel = np.abs(recovered.values - truth.values) / truth.values
         assert np.max(rel) <= 0.05
@@ -171,9 +183,9 @@ class TestInvertProfile:
 
     def test_piecewise_linear_residual_near_noise_floor(self):
         truth = ProfileParams.bump(0.3, 0.25)
-        data, grid_hash = make_data(truth, [PW], target_h=0.085)
+        data = make_data(truth, [PW], target_h=0.085)
         floor = 0.01 * np.linalg.norm(data)
-        cfg = InversionConfig(target_h=0.1, data_grid_hash=grid_hash, max_iterations=10)
+        cfg = InversionConfig(target_h=0.1, data_target_h=0.085, max_iterations=10)
         recovered, _ = invert_profile(
             data, [PW], GRID, cfg, ProfileParams.heights([0.05] * 5)
         )
@@ -183,8 +195,8 @@ class TestInvertProfile:
     def test_incident_order_invariance(self):
         truth = ProfileParams.bump(0.3, 0.25)
         incs = [PW, PlaneWave(phi=0.5, theta=0.0, k=2.0, bc=D)]
-        data, grid_hash = make_data(truth, incs, target_h=0.085)
-        cfg = InversionConfig(target_h=0.1, data_grid_hash=grid_hash, max_iterations=4)
+        data = make_data(truth, incs, target_h=0.085)
+        cfg = InversionConfig(target_h=0.1, data_target_h=0.085, max_iterations=4)
         rec_fwd, _ = invert_profile(data, incs, GRID, cfg, ProfileParams.bump(0.15, 0.4))
         data_rev = np.concatenate([data[100:], data[:100]])
         rec_rev, _ = invert_profile(
@@ -199,10 +211,10 @@ class TestInvertProfile:
         dirs4 = [PW] + [
             PlaneWave(phi=0.5, theta=t, k=2.0, bc=D) for t in (0.0, np.pi / 2, np.pi)
         ]
-        data4, grid_hash = make_data(truth, dirs4, target_h=0.085, seed=606)
+        data4 = make_data(truth, dirs4, target_h=0.085, seed=606)
         errs = []
         for incs, data in ((dirs4[:1], data4[:100]), (dirs4, data4)):
-            cfg = InversionConfig(target_h=0.1, data_grid_hash=grid_hash)
+            cfg = InversionConfig(target_h=0.1, data_target_h=0.085)
             rec, _ = invert_profile(data, incs, GRID, cfg, init)
             errs.append(np.linalg.norm(rec.values - truth.values) / np.linalg.norm(truth.values))
         assert errs[1] <= errs[0]

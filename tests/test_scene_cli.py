@@ -543,5 +543,5 @@ class TestSuiteHelpers:
     def test_refined_scene_metadata(self, flat_scene):
         fine = refine_scene(flat_scene)
         assert fine.scene_hash == flat_scene.scene_hash
-        assert fine.mesh.content_hash != flat_scene.mesh.content_hash
+        assert fine.mesh.n_rings == 2 * flat_scene.mesh.n_rings
         assert fine.mesh.h < flat_scene.mesh.h

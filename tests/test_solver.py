@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -112,6 +114,15 @@ class TestSolveContract:
         assert list(solver_mod._FACTOR_CACHE) == [solver_mod._cache_key(flat_mesh, 2.0, D)]
         _, report = solve_scattered(small_bump_mesh, pw)
         assert not report.cache_hit
+
+    def test_cache_is_keyed_by_the_mesh_object(self, small_bump_mesh):
+        # same vertices and triangles, no sector symmetry: a different system
+        pw = PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D)
+        solve_scattered(small_bump_mesh, pw)
+        cached = get_factorization(small_bump_mesh, 2.0, D)
+        dense = get_factorization(dataclasses.replace(small_bump_mesh, sectors=1), 2.0, D)
+        assert dense is not cached
+        assert cached.orbits.shape[1] == 6 and dense.orbits.shape[1] == 1
 
     @pytest.mark.parametrize("bc", [D, N])
     def test_one_norm_bit_equal_to_numpy(self, small_bump_mesh, bc):

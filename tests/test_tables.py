@@ -85,8 +85,6 @@ def test_mesh_bytes(tmp_path):
         h=0.5,
         n_rings=1,
         support_radius=1.0,
-        content_hash="c",
-        grid_hash="g",
     )
     path = tmp_path / "m.csv"
     export_mesh_csv(mesh, path, scene_hash="")
