@@ -18,13 +18,13 @@ import time
 from pathlib import Path
 
 from .errors import SceneConfigError
-from .geometry import export_mesh_csv, mesh_perturbation
+from .geometry import export_mesh_csv, ring_count
 from .inverse import export_indicator_csv, export_inversion_trace_csv
 from .scene import build_scene, load_config
 from .solver import eval_farfields, export_density_csv, export_farfield_csv, solve_scattered
 from .suites import (
     DEFAULT_TOLERANCES,
-    refine_scene,
+    refined_target_h,
     require_invertible,
     run_convergence,
     run_identities,
@@ -110,17 +110,18 @@ def _write_jsonl(path: Path, scene_hash: str, records) -> None:
 def _largest_system(subcommand: str, scene) -> tuple[int, int]:
     """Panels and sector count of the largest collocation system the verb
     factors; the factorization cache holds one system, so this bounds its
-    memory."""
+    memory.  The disc grid of n rings has 6 n^2 panels, so no mesh but the
+    scene's is built."""
     if subcommand == "maxwell":
         return 0, 1
-    mesh = scene.mesh
+    panels = scene.mesh.n_panels
+    R = scene.profile.support_radius
     if subcommand in ("identities", "convergence"):
-        mesh = refine_scene(scene).mesh
+        panels = 6 * ring_count(R, refined_target_h(scene)) ** 2
     elif subcommand == "invert":
         require_invertible(scene)
-        data_mesh = mesh_perturbation(scene.profile, scene.config.invert["data_target_h"])
-        mesh = max(mesh, data_mesh, key=lambda m: m.n_panels)
-    return mesh.n_panels, mesh.sectors
+        panels = max(panels, 6 * ring_count(R, scene.config.invert["data_target_h"]) ** 2)
+    return panels, scene.mesh.sectors
 
 
 def _memory_available_mb() -> float | None:

@@ -267,21 +267,16 @@ class PanelMesh:
     def n_panels(self) -> int:
         return self.triangles.shape[0]
 
+    def topology(self) -> "RingTopology":
+        """The profile-free part of the mesh (``ring_topology``), shared by
+        every mesh of this ring count and sector count."""
+        return ring_topology(self.n_rings, self.sectors)
+
     def sector_orbits(self) -> np.ndarray:
         """(n_panels / sectors, sectors) panel indices: row a lists panel
         O[a, 0] of sector 0 and its images under the rotations by
-        2 pi s / sectors, so O[a, s + 1] is O[a, s] turned by one sector.
-
-        ``_disc_grid`` stores ring i (from 1) at panels 6 (i - 1)^2 on, sector
-        by sector, 2 i - 1 panels each, so O[., s] = 6 (i - 1)^2 + s (2 i - 1) + t.
-        """
-        if self.sectors == 1:
-            return np.arange(self.n_panels)[:, None]
-        ring = np.arange(1, self.n_rings + 1)
-        i = np.repeat(ring, 2 * ring - 1)  # the ring of each panel of sector 0
-        # (i - 1)^2 panels of sector 0 lie in the rings before ring i
-        t = np.arange(i.size) - (i - 1) ** 2
-        return (6 * (i - 1) ** 2 + t)[:, None] + np.arange(6) * (2 * i - 1)[:, None]
+        2 pi s / sectors, so O[a, s + 1] is O[a, s] turned by one sector."""
+        return self.topology().orbits
 
     @property
     def total_area(self) -> float:
@@ -321,9 +316,93 @@ def _disc_grid(n: int):
     return verts, np.array(tris, dtype=np.int64)
 
 
+def _sector_orbits(n: int, g: int) -> np.ndarray:
+    """``PanelMesh.sector_orbits`` of the n-ring grid with g sectors (1 or 6).
+
+    ``_disc_grid`` stores ring i (from 1) at panels 6 (i - 1)^2 on, sector
+    by sector, 2 i - 1 panels each, so O[., s] = 6 (i - 1)^2 + s (2 i - 1) + t.
+    """
+    if g == 1:
+        return np.arange(6 * n * n)[:, None]
+    ring = np.arange(1, n + 1)
+    i = np.repeat(ring, 2 * ring - 1)  # the ring of each panel of sector 0
+    # (i - 1)^2 panels of sector 0 lie in the rings before ring i
+    t = np.arange(i.size) - (i - 1) ** 2
+    return (6 * (i - 1) ** 2 + t)[:, None] + np.arange(6) * (2 * i - 1)[:, None]
+
+
+def _adjacent_pairs(tris: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Pairs (i, j) of panels sharing at least one vertex, i one of ``rows``,
+    as a (P, 2) int array in lexicographic order."""
+    n = tris.shape[0]
+    flat = tris.ravel()
+    panels = np.argsort(flat, kind="stable") // 3  # every panel, listed vertex by vertex
+    counts = np.bincount(flat)
+    first = np.cumsum(counts) - counts  # where each vertex's panels start in that list
+    corner = tris[rows].ravel()  # the corners of each row panel
+    group = counts[corner]  # panels at each of those corners
+    start = np.repeat(first[corner], group)
+    within = np.arange(start.size) - np.repeat(np.cumsum(group) - group, group)
+    keys = np.unique(np.repeat(np.repeat(rows, 3), group) * n + panels[start + within])
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
+@dataclass(frozen=True)
+class RingTopology:
+    """What every mesh of the n-ring disc grid with g sectors shares,
+    whatever its profile: the unit-disc vertices and triangles, the sector
+    orbits O, and the near pairs that assembly integrates by subdivision.
+
+    ``near_pairs`` are the vertex-adjacent pairs (i, j) with i in sector 0,
+    in lexicographic order (every pair when g = 1); ``near_slots`` holds,
+    for each, the entry (s, a_i, a_j) of the sector blocks it fills, where
+    panel p = O[a_p, s_p] and s = s_j.  All arrays are read-only."""
+
+    planar: np.ndarray  # (1 + 3 n (n + 1), 2)
+    triangles: np.ndarray  # (6 n^2, 3)
+    orbits: np.ndarray  # (6 n^2 / g, g)
+    near_pairs: np.ndarray  # (P, 2)
+    near_slots: np.ndarray  # (3, P)
+
+
+def _build_topology(n: int, g: int) -> RingTopology:
+    planar, tris = _disc_grid(n)
+    orbits = _sector_orbits(n, g)
+    # panel p is O[a, s] with a, s = divmod(place[p], g)
+    place = np.empty(tris.shape[0], dtype=np.int64)
+    place[orbits.ravel()] = np.arange(tris.shape[0])
+    pairs = _adjacent_pairs(tris, orbits[:, 0])
+    a, s = np.divmod(place[pairs[:, 1]], g)
+    slots = np.stack([s, place[pairs[:, 0]] // g, a])
+    for arr in (planar, tris, orbits, pairs, slots):
+        arr.setflags(write=False)
+    return RingTopology(planar, tris, orbits, pairs, slots)
+
+
+# At most one entry, evicted on a miss, so memory stays bounded by one ring
+# count: a run meshes one ring count after another (an inversion meshes every
+# iterate at the same one).
+_TOPOLOGY_CACHE: dict[tuple[int, int], RingTopology] = {}
+
+
+def ring_topology(n_rings: int, sectors: int) -> RingTopology:
+    """The ``RingTopology`` of the n_rings grid with this many sectors, built
+    on the first call for that pair and cached."""
+    key = (n_rings, sectors)
+    if key not in _TOPOLOGY_CACHE:
+        _TOPOLOGY_CACHE.clear()
+        _TOPOLOGY_CACHE[key] = _build_topology(n_rings, sectors)
+    return _TOPOLOGY_CACHE[key]
+
+
 def ring_count(R: float, target_h: float) -> int:
-    """Rings of the disc grid of radius R at panel size ~ target_h; the
-    inverse-crime guard compares this for the data and inversion meshes."""
+    """Rings of the disc grid of radius R at panel size ~ target_h (its mesh
+    has 6 rings^2 panels); the inverse-crime guard compares this for the data
+    and inversion meshes.  Raises unless 0 < target_h <= R / 4."""
+    if not (target_h > 0):
+        raise ValueError(f"target_h must be > 0, got {target_h!r}")
+    if target_h > R / 4:
+        raise ValueError(f"target_h={target_h:g} too coarse; need target_h <= R/4 = {R / 4:g}")
     return math.ceil(R / target_h)
 
 
@@ -332,18 +411,17 @@ def mesh_perturbation(profile: SurfaceProfile, target_h: float) -> PanelMesh:
     the vertices onto the graph of the profile.  Rim vertices keep x3 = 0
     exactly; all normals point up into the propagation domain."""
     R = profile.support_radius
-    if not (target_h > 0):
-        raise ValueError(f"target_h must be > 0, got {target_h!r}")
-    if target_h > R / 4:
-        raise ValueError(f"target_h={target_h:g} too coarse; need target_h <= R/4 = {R / 4:g}")
+    n = ring_count(R, target_h)
     if profile.allow_dip:
         raise DippingProfileError(
             "profile was built with allow_dip; the image-kernel solver paths "
             "are invalid for dipping perturbations and refuse to mesh them"
         )
-    n = ring_count(R, target_h)
-    verts2d, tris = _disc_grid(n)
-    verts2d = verts2d * R
+    # the union-jack grid of a piecewise-linear profile is not C6-invariant
+    sectors = 1 if profile.kind == "piecewise_linear" else 6
+    topo = ring_topology(n, sectors)
+    tris = topo.triangles
+    verts2d = topo.planar * R
     z = profile.height(verts2d)
     z[1 + 3 * n * (n - 1):] = 0.0  # rim ring: exactly on the ground plane
     vertices = np.column_stack([verts2d, z])
@@ -361,7 +439,7 @@ def mesh_perturbation(profile: SurfaceProfile, target_h: float) -> PanelMesh:
         raise DippingProfileError("panel with non-upward normal; profile is not a valid graph")
     centroids = p.mean(axis=1)
 
-    for arr in (vertices, tris, centroids, areas, normals):
+    for arr in (vertices, centroids, areas, normals):
         arr.setflags(write=False)
     return PanelMesh(
         vertices=vertices,
@@ -372,8 +450,7 @@ def mesh_perturbation(profile: SurfaceProfile, target_h: float) -> PanelMesh:
         h=R / n,
         n_rings=n,
         support_radius=R,
-        # the union-jack grid of a piecewise-linear profile is not C6-invariant
-        sectors=1 if profile.kind == "piecewise_linear" else 6,
+        sectors=sectors,
     )
 
 

@@ -10,7 +10,7 @@ inversion uses; the ring-count guard makes that inverse-crime check mandatory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -150,20 +150,35 @@ def grad_G_x(kern: GreenKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # (..., 3) gradient is formed.  The *_terms forms take the radial factors and
 # displacement components already computed.
 
+def _combine(op, c, u, c_img, v):
+    """op(c u, c_img v) for complex c, c_img and real u, v (op np.add or
+    np.subtract), formed part by part with real products instead of casting
+    u and v to complex.  The values are those of the cast form; an entry that
+    is exactly zero may carry the other sign."""
+    out = np.empty(np.broadcast_shapes(c.shape, u.shape), dtype=complex)
+    op(c.real * u, c_img.real * v, out=out.real)
+    op(c.imag * u, c_img.imag * v, out=out.imag)
+    return out
+
+
 def _combined_terms(radial, d, nu_x, nu_y, k):
     phi, c, phi_img, c_img = radial
     d0, d1, d2, e2 = d
     planar = d0 * nu_y[0] + d1 * nu_y[1]
     # grad_y G = -grad_x Phi(x,y) + M grad_x Phi(x,y') for the odd kernel
-    dl = -c * (planar + d2 * nu_y[2]) + c_img * (planar - e2 * nu_y[2])
-    return dl - 1j * k * (phi - phi_img)
+    out = _combine(np.subtract, c_img, planar - e2 * nu_y[2], c, planar + d2 * nu_y[2])
+    # minus i k (phi - phi_img), part by part
+    q = phi - phi_img
+    out.real += k * q.imag
+    out.imag -= k * q.real
+    return out
 
 
 def _adjoint_terms(radial, d, nu_x, nu_y, k):
     _, c, _, c_img = radial
     d0, d1, d2, e2 = d
     planar = d0 * nu_x[0] + d1 * nu_x[1]
-    return c * (planar + d2 * nu_x[2]) + c_img * (planar + e2 * nu_x[2])
+    return _combine(np.add, c, planar + d2 * nu_x[2], c_img, planar + e2 * nu_x[2])
 
 
 _COLLOCATION_TERMS = {

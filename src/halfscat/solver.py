@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgetrs
 
 from .errors import ProximityError, ResonanceError, SolveError
 from .geometry import PanelMesh
@@ -37,6 +38,8 @@ CONDITION_LIMIT = 1e8
 GRADED_LEVELS = 3
 GRADED_LEAVES = 3 * (2 * GRADED_LEVELS + 1)  # leaves per near panel
 _ROW_BLOCK = 128
+_FFT_ROWS = 32  # block rows per sector-axis transform in _Factorization.factor
+_ESTIMATE_STEPS = 5  # onenormest's itmax
 
 
 @dataclass(frozen=True)
@@ -213,23 +216,6 @@ def _graded_leaves(verts: np.ndarray, p: np.ndarray):
     return np.ascontiguousarray(cents.transpose(0, 2, 1)), np.ascontiguousarray(areas.T)
 
 
-def _vertex_adjacency(mesh: PanelMesh) -> np.ndarray:
-    """Pairs (i, j) of panels sharing at least one vertex, i collocating on j,
-    as a (P, 2) int array in lexicographic order."""
-    tris = mesh.triangles
-    n = tris.shape[0]
-    order = np.argsort(tris.ravel(), kind="stable")
-    panels = order // 3  # every panel's corners, listed vertex by vertex
-    vertex = tris.ravel()[order]
-    counts = np.bincount(vertex)
-    group = counts[vertex]  # panels at the vertex of each listed corner
-    start = np.repeat((np.cumsum(counts) - counts)[vertex], group)
-    # each listed panel against every panel listed at the same vertex
-    within = np.arange(start.size) - np.repeat(np.cumsum(group) - group, group)
-    keys = np.unique(np.repeat(panels, group) * n + panels[start + within])
-    return np.stack(np.divmod(keys, n), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # assembly, factorization cache, solves
 
@@ -254,21 +240,27 @@ class _Factorization:
 
     @classmethod
     def factor(cls, orbits: np.ndarray, blocks: np.ndarray) -> "_Factorization":
-        # Fortran-ordered blocks, so lu_factor overwrites them instead of copying
+        g, m = blocks.shape[:2]
+        # Fortran-ordered blocks, so lu_factor overwrites them instead of
+        # copying; the sector-axis transform goes through a C-ordered
+        # temporary of _FFT_ROWS rows, which is cheaper than writing it strided
         F = np.empty(blocks.shape, dtype=complex).transpose(0, 2, 1)
-        np.fft.ifft(blocks, axis=0, out=F)
-        F *= len(blocks)
+        for lo in range(0, m, _FFT_ROWS):
+            rows = np.fft.ifft(blocks[:, lo:lo + _FFT_ROWS], axis=0)
+            rows *= g
+            F[:, lo:lo + _FFT_ROWS] = rows
         return cls(orbits, blocks, [scipy.linalg.lu_factor(b, overwrite_a=True) for b in F])
 
     def solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
         """A^-1 b, or (A^H)^-1 b with trans=2.  The right-hand side goes to
         the sector-Fourier basis as fft(b[O]) / g and the solution comes back
         as x[O] = g ifft(X^); the factors g cancel, so neither is applied.
-        A^H has the same basis, with the blocks B^_p^H."""
+        A^H has the same basis, with the blocks B^_p^H.  Each block solve is
+        the LAPACK getrs call that ``lu_solve`` makes (its info reports only
+        illegal arguments)."""
         rhs = np.fft.fft(b[self.orbits], axis=1)
         sol = np.column_stack([
-            scipy.linalg.lu_solve(lu, rhs[:, p], trans=trans, check_finite=False)
-            for p, lu in enumerate(self.lus)
+            zgetrs(lu, piv, rhs[:, p], trans=trans)[0] for p, (lu, piv) in enumerate(self.lus)
         ])
         x = np.empty(self.orbits.size, dtype=complex)
         x[self.orbits] = np.fft.ifft(sol, axis=1)
@@ -302,7 +294,8 @@ def _assemble_blocks(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.nda
     in ``collocation_tiles``, then the self and vertex-adjacent pairs (i, j)
     by graded subdivision toward the point of panel j closest to the
     centroid of i."""
-    orbits = mesh.sector_orbits()
+    topo = mesh.topology()
+    orbits = topo.orbits
     m, g = orbits.shape
     cents = np.ascontiguousarray(mesh.centroids.T)
     normals = np.ascontiguousarray(mesh.normals.T)
@@ -313,15 +306,10 @@ def _assemble_blocks(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.nda
         for i, j, vals in collocation_tiles(bc, cents, normals, orbits[:, 0], cols, k, _ROW_BLOCK):
             np.multiply(vals, mesh.areas[cols[j]], out=B[s, i, j])
 
-    # panel p is O[a, s] with a, s = divmod(place[p], g)
-    place = np.empty(mesh.n_panels, dtype=np.int64)
-    place[orbits.ravel()] = np.arange(mesh.n_panels)
-    pairs = _vertex_adjacency(mesh)
-    pairs = pairs[place[pairs[:, 0]] % g == 0]
     corners = np.ascontiguousarray(mesh.panel_vertices().transpose(1, 2, 0))
     chunk = max(1, _ROW_BLOCK * _ROW_BLOCK // GRADED_LEAVES)
-    for lo in range(0, len(pairs), chunk):
-        rows, cols = pairs[lo:lo + chunk].T
+    for lo in range(0, len(topo.near_pairs), chunk):
+        rows, cols = topo.near_pairs[lo:lo + chunk].T
         x = cents[:, rows]
         tri = corners[:, :, cols]
         p_sing = _closest_points_on_triangles(x, tri[0], tri[1], tri[2])
@@ -329,8 +317,7 @@ def _assemble_blocks(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.nda
         vals = collocation(
             bc, x[:, :, None], normals[:, rows, None], leaf_cents, normals[:, cols, None], k
         )
-        a, s = np.divmod(place[cols], g)
-        B[s, place[rows] // g, a] = np.sum(vals * leaf_areas, axis=1)
+        B[tuple(topo.near_slots[:, lo:lo + chunk])] = np.sum(vals * leaf_areas, axis=1)
 
     B[0, np.arange(m), np.arange(m)] += 0.5 if bc is BoundaryCondition.DIRICHLET else -0.5
     return B
@@ -340,34 +327,63 @@ def _one_norm(blocks: np.ndarray) -> float:
     """The 1-norm of the system ``blocks`` stores, without an ``n x n``
     ``|A|`` temporary: column b of every sector's column sums to
     sum_s sum_a |B_s[a, b]|, which accumulates row by row.  For a 2-D
-    matrix that is the order in which numpy reduces over the first axis,
-    so the result is ``np.linalg.norm(A, 1)`` bit for bit."""
-    col_sums = np.zeros(blocks.shape[-1])
-    for row in blocks.reshape(-1, blocks.shape[-1]):
-        col_sums += np.abs(row)
-    return float(col_sums.max())
+    matrix that is the order in which numpy reduces over the first axis, so
+    the result is ``np.linalg.norm(A, 1)`` bit for bit; numpy takes that
+    order here too, on _ROW_BLOCK rows at a time below the running sums."""
+    rows = blocks.reshape(-1, blocks.shape[-1])
+    acc = np.zeros((_ROW_BLOCK + 1, rows.shape[1]))  # running sums, then |rows|
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        chunk = rows[lo:lo + _ROW_BLOCK]
+        np.abs(chunk, out=acc[1:len(chunk) + 1])
+        acc[0] = acc[:len(chunk) + 1].sum(axis=0)
+    return float(acc[0].max())
+
+
+def _inverse_norm_estimate(fact: _Factorization) -> float:
+    """Lower estimate of ||A^-1||_1 by Higham and Tisseur's block 1-norm
+    estimator (SIAM J. Matrix Anal. Appl. 21, 2000, Algorithm 2.4) with one
+    column and at most _ESTIMATE_STEPS steps, through block solves and their
+    adjoints.  It takes the steps of ``scipy.sparse.linalg.onenormest(t=1)``
+    in the same order, so the estimate is the same float; with one column the
+    start vector is constant and no step draws a random number."""
+    n = fact.orbits.size
+    x = np.ones(n) / float(n)
+    sign_old = np.zeros(n)
+    est_old = 0
+    best = None  # from the second step on, x is the unit vector e_best
+    for step in range(1, _ESTIMATE_STEPS + 2):
+        y = fact.solve(x)
+        est = np.sum(np.abs(y))
+        if step >= 2 and est <= est_old:
+            return est_old
+        est_old = est
+        if step > _ESTIMATE_STEPS:
+            break
+        sign = y.copy()
+        sign[sign == 0] = 1
+        sign /= np.abs(sign)
+        if np.dot(sign, sign_old) == n:  # the sign vector repeats
+            break
+        z = np.abs(fact.solve(sign, trans=2))
+        # Python's max, as scipy takes it: numpy's differs where z holds a NaN
+        if step >= 2 and max(z) == z[best]:
+            break
+        best = np.argsort(z)[-1]  # scipy's argsort(h)[::-1][0]; argmax can pick another tie
+        x = np.zeros(n)
+        x[best] = 1
+        sign_old = sign
+    return est
 
 
 def _condition_estimate(fact: _Factorization) -> float:
-    """1-norm condition estimate: the exact ||A||_1 times the Hager-Higham
-    estimate of ||A^-1||_1 from block solves (one probe column, so
-    deterministic).  inf for an exactly singular system, or a non-finite
-    estimate, so the resonance check rejects it."""
-    # imported here, not at the top: only a factorization needs it, and
-    # scipy.sparse would add to the start-up of every command, --dry-run too
-    import scipy.sparse.linalg
-
+    """1-norm condition estimate: the exact ||A||_1 times the estimate of
+    ||A^-1||_1 (``_inverse_norm_estimate``, deterministic).  inf for an
+    exactly singular system, or a non-finite estimate, so the resonance check
+    rejects it."""
     if any(not np.all(np.diagonal(lu)) for lu, _ in fact.lus):
         return np.inf
-    n = fact.orbits.size
-    inverse = scipy.sparse.linalg.LinearOperator(
-        (n, n),
-        matvec=lambda v: fact.solve(v.ravel()),
-        rmatvec=lambda v: fact.solve(v.ravel(), trans=2),
-        dtype=complex,
-    )
     with np.errstate(all="ignore"):
-        cond = _one_norm(fact.blocks) * scipy.sparse.linalg.onenormest(inverse, t=1)
+        cond = _one_norm(fact.blocks) * _inverse_norm_estimate(fact)
     return float(cond) if np.isfinite(cond) else np.inf
 
 

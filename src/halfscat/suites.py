@@ -117,12 +117,16 @@ def within(name: str, value, lo, hi) -> CheckResult:
     return CheckResult(name, lo <= value <= hi, value, f"slope in [{lo:g}, {hi:g}]")
 
 
+def refined_target_h(scene) -> float:
+    """Half the scene's target panel size, the h/2 of the refined scene."""
+    return scene.config.mesh["target_h"] * 0.5
+
+
 def refine_scene(scene):
     """The scene on a mesh of half its target panel size.  Only the mesh
     changes: ``config`` still describes the original scene, so the scene hash
     is kept."""
-    target = scene.config.mesh["target_h"] * 0.5
-    return replace(scene, mesh=mesh_perturbation(scene.profile, target))
+    return replace(scene, mesh=mesh_perturbation(scene.profile, refined_target_h(scene)))
 
 
 # ---------------------------------------------------------------------------

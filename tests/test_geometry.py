@@ -1,8 +1,9 @@
-import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
+import halfscat.geometry as geometry_mod
 from halfscat.errors import DippingProfileError, SceneConfigError
 from halfscat.geometry import (
     GROUND_PLANE,
@@ -190,6 +191,37 @@ class TestMesh:
         assert m1.n_rings == m2.n_rings == ring_count(1.0, 0.125)
         assert not np.array_equal(m1.vertices, m2.vertices)
         assert m2.n_rings != m3.n_rings == ring_count(1.0, 0.25)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "gaussian_bump", "R": 1.0, "width": 0.25},
+        {"kind": "piecewise_linear", "R": 1.0},
+    ])
+    def test_topology_is_shared_per_ring_count(self, spec):
+        def profile(height):
+            if spec["kind"] == "gaussian_bump":
+                return build_profile({**spec, "amplitude": height})
+            return build_profile({**spec, "heights": pyramid_heights(height)})
+
+        a = mesh_perturbation(profile(0.3), 0.125)
+        b = mesh_perturbation(profile(0.2), 0.125)
+        topo = a.topology()
+        key = (ring_count(1.0, 0.125), 1 if spec["kind"] == "piecewise_linear" else 6)
+        assert list(geometry_mod._TOPOLOGY_CACHE) == [key] == [(a.n_rings, a.sectors)]
+        assert b.topology() is topo and b.sector_orbits() is topo.orbits
+        assert a.triangles is b.triangles is topo.triangles
+        assert not np.array_equal(a.vertices, b.vertices)
+        fresh = geometry_mod._build_topology(*key)
+        for field in dataclasses.fields(topo):
+            cached, built = getattr(topo, field.name), getattr(fresh, field.name)
+            assert not cached.flags.writeable
+            assert cached.dtype == built.dtype and cached.shape == built.shape
+            assert cached.tobytes() == built.tobytes(), field.name
+        planar, tris = geometry_mod._disc_grid(a.n_rings)
+        assert np.array_equal(topo.planar, planar) and np.array_equal(topo.triangles, tris)
+        # a miss evicts the entry: one ring count is held at a time
+        c = mesh_perturbation(profile(0.3), 0.25)
+        assert list(geometry_mod._TOPOLOGY_CACHE) == [(c.n_rings, c.sectors)]
+        assert a.topology() is not topo
 
     def test_export_csv(self, tmp_path):
         mesh = mesh_perturbation(build_profile({"kind": "zero", "R": 1.0}), 0.25)

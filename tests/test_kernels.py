@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from halfscat.solver import (
     _assemble_blocks,
     _closest_points_on_triangles,
     _graded_leaves,
-    _vertex_adjacency,
     eval_farfields,
     eval_scattered,
 )
@@ -292,6 +293,12 @@ def canonical_mesh():
     return mesh_perturbation(prof, 0.085)
 
 
+def _adjacency(mesh):
+    """Every vertex-adjacent pair (i, j): the near pairs of the mesh taken
+    without its sector symmetry."""
+    return dataclasses.replace(mesh, sectors=1).topology().near_pairs
+
+
 def _reference_adjacency(mesh):
     """Vertex adjacency from panel sets, as sorted (i, j) tuples."""
     v2p = {}
@@ -379,12 +386,12 @@ class TestNearGeometry:
         return request.getfixturevalue(request.param)
 
     def test_adjacency(self, mesh):
-        pairs = _vertex_adjacency(mesh)
+        pairs = _adjacency(mesh)
         assert pairs.shape == (len(pairs), 2)
         assert np.array_equal(pairs, np.array(_reference_adjacency(mesh)))
 
     def test_closest_points_and_leaves(self, mesh):
-        rows, cols = _vertex_adjacency(mesh).T
+        rows, cols = _adjacency(mesh).T
         x = mesh.centroids[rows]
         pv = mesh.panel_vertices()[cols]
         p_ref = _reference_closest_points(x, pv[:, 0], pv[:, 1], pv[:, 2])
@@ -397,6 +404,20 @@ class TestNearGeometry:
         assert cents.shape == (3, len(rows), GRADED_LEAVES) and cents[0].flags.c_contiguous
         assert np.array_equal(np.moveaxis(cents, 0, -1), cents_ref)
         assert np.array_equal(areas, areas_ref)
+
+
+@pytest.mark.parametrize("mesh_name", ["small_bump_mesh", "piecewise_mesh"])
+def test_near_pairs_are_the_sector_0_rows_of_the_adjacency(request, mesh_name):
+    """The near pairs of the sector-0 rows, built directly, against the full
+    adjacency filtered to those rows; each lands in its sector-block slot."""
+    mesh = request.getfixturevalue(mesh_name)
+    topo = mesh.topology()
+    rows0 = set(mesh.sector_orbits()[:, 0].tolist())
+    ref = np.array([pair for pair in _reference_adjacency(mesh) if pair[0] in rows0])
+    assert topo.near_pairs.dtype == np.int64 and np.array_equal(topo.near_pairs, ref)
+    s, a_i, a_j = topo.near_slots
+    assert np.array_equal(topo.orbits[a_i, 0], topo.near_pairs[:, 0])
+    assert np.array_equal(topo.orbits[a_j, s], topo.near_pairs[:, 1])
 
 
 def _public_integrand(kern, x, y, nu_y, eta):
@@ -417,7 +438,7 @@ class TestHotPath:
         eta = 2.0 if bc is D else 0.0
         A = dense_matrix(mesh, 2.0, bc)
         far = np.ones(A.shape, dtype=bool)
-        far[tuple(np.array(_vertex_adjacency(mesh)).T)] = False
+        far[tuple(_adjacency(mesh).T)] = False
         i, j = np.nonzero(far)
         kern = GreenKernel(k=2.0, bc=bc)
         x, y = mesh.centroids[i], mesh.centroids[j]
@@ -437,7 +458,7 @@ class TestHotPath:
         for mesh in (small_bump_mesh, piecewise_mesh):
             ref = _assemble_blocks(mesh, 2.0, bc)
             rows0 = mesh.sector_orbits()[:, 0]
-            n_pairs = np.count_nonzero(np.isin(_vertex_adjacency(mesh)[:, 0], rows0))
+            n_pairs = np.count_nonzero(np.isin(_adjacency(mesh)[:, 0], rows0))
             chunks = [max(1, b * b // GRADED_LEAVES) for b in (7, 256, mesh.n_panels + 5)]
             assert chunks[0] < 5 and chunks[-1] >= n_pairs
             assert any(n_pairs % c for c in chunks[:-1])

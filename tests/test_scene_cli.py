@@ -14,7 +14,11 @@ import yaml
 
 import halfscat
 import halfscat.cli as cli_mod
+import halfscat.geometry as geometry_mod
+import halfscat.inverse as inverse_mod
+import halfscat.scene as scene_mod
 import halfscat.solver as solver_mod
+import halfscat.suites as suites_mod
 from conftest import canonical_config
 from halfscat.cli import main
 from halfscat.errors import DippingProfileError, SceneConfigError
@@ -231,6 +235,49 @@ class TestCli:
                            "gaussian_bump scene\n")
         assert main(["invert", "--config", flat_config, "--out", str(tmp_path / "inv")]) == 2
         assert capsys.readouterr().err == dry_err
+
+    @pytest.mark.parametrize("data_target_h", [0.07, 0.1])
+    def test_dry_run_meshes_only_the_scene(self, tmp_path, capsys, monkeypatch, data_target_h):
+        """Every verb's plan sizes its largest system from ring counts, so the
+        scene's mesh is the only one built, and the sizes are those of the
+        meshes the run factors: h/2 for identities and convergence, the
+        larger of the scene and data meshes for invert."""
+        path = write_config(tmp_path, canonical_config(invert={"data_target_h": data_target_h}))
+        scene = build_scene(load_config(path))
+        panels = scene.mesh.n_panels
+        fine = refine_scene(scene).mesh.n_panels
+        data = geometry_mod.mesh_perturbation(scene.profile, data_target_h).n_panels
+        expected = {"forward": (panels, 6), "identities": (fine, 6), "maxwell": (0, 1),
+                    "indicator": (panels, 6), "invert": (max(panels, data), 6),
+                    "convergence": (fine, 6)}
+        calls = []
+
+        def counted(profile, target_h):
+            calls.append(target_h)
+            return geometry_mod.mesh_perturbation(profile, target_h)
+
+        for module in (scene_mod, suites_mod, inverse_mod, cli_mod):
+            if hasattr(module, "mesh_perturbation"):
+                monkeypatch.setattr(module, "mesh_perturbation", counted)
+        for verb, (n, g) in expected.items():
+            calls.clear()
+            assert main([verb, "--config", path, "--dry-run"]) == 0
+            out = capsys.readouterr().out
+            assert calls == [0.085], verb
+            assert f"dense_system_mb: {round(32 * n**2 / g / 2**20, 1)}\n" in out, verb
+            assert f"symmetry_sectors: {g}\n" in out, verb
+
+    def test_forward_does_not_import_scipy_sparse(self, flat_config, tmp_path):
+        src = str(Path(halfscat.__file__).resolve().parents[1])
+        probe = ("import sys; from halfscat.cli import main; code = main(sys.argv[1:]); "
+                 "print('scipy.sparse' in sys.modules); sys.exit(code)")
+        run = subprocess.run(
+            [sys.executable, "-c", probe, "forward", "--config", flat_config,
+             "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, check=True,
+            capture_output=True, text=True,
+        )
+        assert run.stdout.splitlines()[-1] == "False"
 
     def test_dry_run_sizes_the_stored_system(self, tmp_path, capsys, monkeypatch):
         """A piecewise-linear scene keeps the dense system; the memory lines

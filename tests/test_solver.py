@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+import halfscat.kernels as kernels_mod
 import halfscat.solver as solver_mod
 from conftest import dense_matrix, helmholtz_rel_residual
 from halfscat.errors import ProximityError, ResonanceError
@@ -133,8 +134,137 @@ class TestSolveContract:
         identity = np.eye(3, dtype=complex)[None]
         fact = solver_mod._Factorization.factor(np.arange(3)[:, None], identity)
         assert solver_mod._condition_estimate(fact) == 1.0
-        monkeypatch.setattr(scipy.sparse.linalg, "onenormest", lambda *args, **kw: np.nan)
+        monkeypatch.setattr(fact, "solve", lambda b, trans=0: np.full(b.shape, np.nan, complex))
         assert solver_mod._condition_estimate(fact) == np.inf
+
+
+def _onenormest(fact):
+    """scipy's estimate of ||A^-1||_1 with one column, through the block
+    solves."""
+    n = fact.orbits.size
+    inverse = scipy.sparse.linalg.LinearOperator(
+        (n, n),
+        matvec=lambda v: fact.solve(v.ravel()),
+        rmatvec=lambda v: fact.solve(v.ravel(), trans=2),
+        dtype=complex,
+    )
+    return scipy.sparse.linalg.onenormest(inverse, t=1)
+
+
+def _combined_cast(radial, d, nu_x, nu_y, k):
+    """The sound-soft integrand with complex x real products."""
+    phi, c, phi_img, c_img = radial
+    d0, d1, d2, e2 = d
+    planar = d0 * nu_y[0] + d1 * nu_y[1]
+    dl = -c * (planar + d2 * nu_y[2]) + c_img * (planar - e2 * nu_y[2])
+    return dl - 1j * k * (phi - phi_img)
+
+
+def _adjoint_cast(radial, d, nu_x, nu_y, k):
+    """The sound-hard integrand with complex x real products."""
+    _, c, _, c_img = radial
+    d0, d1, d2, e2 = d
+    planar = d0 * nu_x[0] + d1 * nu_x[1]
+    return c * (planar + d2 * nu_x[2]) + c_img * (planar + e2 * nu_x[2])
+
+
+def _lu_bytes(fact):
+    return [(lu.tobytes(), piv.tobytes()) for lu, piv in fact.lus]
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("mesh_name", ["small_bump_mesh", "piecewise_mesh"])
+class TestMissPath:
+    """The pieces of a factorization miss against the forms they replaced,
+    bit for bit, on the sector blocks (bump, g = 6) and on the dense matrix
+    (piecewise, g = 1)."""
+
+    @pytest.fixture
+    def mesh(self, request, mesh_name):
+        return request.getfixturevalue(mesh_name)
+
+    def test_one_norm_chunks(self, mesh, bc, monkeypatch):
+        blocks = solver_mod._assemble_blocks(mesh, 2.0, bc)
+        col_sums = np.zeros(blocks.shape[-1])
+        for row in blocks.reshape(-1, blocks.shape[-1]):
+            col_sums += np.abs(row)
+        norm = solver_mod._one_norm(blocks)
+        assert norm == col_sums.max()
+        if mesh.sectors == 1:  # the one block is the dense matrix
+            assert norm == np.linalg.norm(blocks[0], 1)
+        for rows in (1, 7, blocks.size):
+            monkeypatch.setattr(solver_mod, "_ROW_BLOCK", rows)
+            assert solver_mod._one_norm(blocks) == norm
+
+    def test_factor_chunks(self, mesh, bc, monkeypatch):
+        orbits = mesh.sector_orbits()
+        m, g = orbits.shape
+        blocks = solver_mod._assemble_blocks(mesh, 2.0, bc)
+        F = np.empty(blocks.shape, dtype=complex).transpose(0, 2, 1)
+        np.fft.ifft(blocks, axis=0, out=F)
+        F *= g
+        ref = [(lu.tobytes(), piv.tobytes()) for lu, piv in
+               (scipy.linalg.lu_factor(b, overwrite_a=True) for b in F)]
+        assert solver_mod._FFT_ROWS <= 32 and m % 7  # 7 rows leave a ragged last chunk
+        for rows in (solver_mod._FFT_ROWS, 7, m + 5):
+            monkeypatch.setattr(solver_mod, "_FFT_ROWS", rows)
+            assert _lu_bytes(solver_mod._Factorization.factor(orbits, blocks)) == ref
+
+    def test_getrs_solves(self, mesh, bc):
+        solver_mod.clear_factorization_cache()
+        fact = get_factorization(mesh, 2.0, bc)
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels)
+        for trans in (0, 2):
+            rhs = np.fft.fft(b[fact.orbits], axis=1)
+            sol = np.column_stack([
+                scipy.linalg.lu_solve(lu, rhs[:, p], trans=trans, check_finite=False)
+                for p, lu in enumerate(fact.lus)
+            ])
+            ref = np.empty(mesh.n_panels, dtype=complex)
+            ref[fact.orbits] = np.fft.ifft(sol, axis=1)
+            assert fact.solve(b, trans=trans).tobytes() == ref.tobytes()
+
+    def test_estimate_is_onenormest(self, mesh, bc):
+        solver_mod.clear_factorization_cache()
+        fact = get_factorization(mesh, 2.0, bc)
+        est = solver_mod._inverse_norm_estimate(fact)
+        assert est == _onenormest(fact) and est > 0
+        with np.errstate(all="ignore"):
+            cond = solver_mod._one_norm(fact.blocks) * _onenormest(fact)
+        assert fact.cond_estimate == cond
+
+    def test_real_product_terms(self, mesh, bc, monkeypatch):
+        """The integrands without complex x real products give the same
+        values; only an entry that is exactly zero (a flat panel seen from a
+        flat panel) may change its sign, and the LU factors are unchanged."""
+        solver_mod.clear_factorization_cache()
+        fact = get_factorization(mesh, 2.0, bc)
+        with monkeypatch.context() as patch:
+            patch.setitem(kernels_mod._COLLOCATION_TERMS, D, _combined_cast)
+            patch.setitem(kernels_mod._COLLOCATION_TERMS, N, _adjoint_cast)
+            solver_mod.clear_factorization_cache()
+            ref = get_factorization(mesh, 2.0, bc)
+        assert np.array_equal(fact.blocks, ref.blocks)
+        if mesh.sectors == 6:  # the bump has no flat panel
+            assert fact.blocks.tobytes() == ref.blocks.tobytes()
+        assert _lu_bytes(fact) == _lu_bytes(ref)
+        assert fact.cond_estimate == ref.cond_estimate
+        solver_mod.clear_factorization_cache()
+
+
+@pytest.mark.parametrize("n, g, imag", [
+    (1, 1, 1.0), (3, 1, 1.0), (10, 7, 1.0), (40, 256, 1.0), (3, 1, 0.0), (5, 2, 0.0),
+])
+def test_estimate_is_onenormest_on_random_systems(n, g, imag):
+    """Sizes from one unknown to more than a numpy buffer (8192 values),
+    where a reduction could change its summation order.  The real systems
+    stop on a repeated sign vector (3, 1) and after three steps (5, 2)."""
+    rng = np.random.default_rng(n * g)
+    blocks = (rng.normal(size=(g, n, n)) + imag * 1j * rng.normal(size=(g, n, n))) / n
+    blocks[0] += 2 * np.eye(n)
+    fact = solver_mod._Factorization.factor(np.arange(n * g).reshape(n, g), blocks)
+    assert solver_mod._inverse_norm_estimate(fact) == _onenormest(fact)
 
 
 class TestEvalScattered:
