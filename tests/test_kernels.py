@@ -457,8 +457,7 @@ class TestHotPath:
         single one holding every pair of the sector-0 rows."""
         for mesh in (small_bump_mesh, piecewise_mesh):
             ref = _assemble_blocks(mesh, 2.0, bc)
-            rows0 = mesh.sector_orbits()[:, 0]
-            n_pairs = np.count_nonzero(np.isin(_adjacency(mesh)[:, 0], rows0))
+            n_pairs = len(mesh.topology().near_pairs)
             chunks = [max(1, b * b // GRADED_LEAVES) for b in (7, 256, mesh.n_panels + 5)]
             assert chunks[0] < 5 and chunks[-1] >= n_pairs
             assert any(n_pairs % c for c in chunks[:-1])
