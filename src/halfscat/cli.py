@@ -1,8 +1,10 @@
 """Configuration-driven command line: solves, check suites, artifacts.
 
 Subcommands: forward, identities, maxwell, indicator, invert, convergence.
-Exit status is 0 only when every tolerance of the requested suite is met;
-validation problems exit with status 2 and a field-level message.
+Exit status is 0 only when every tolerance of the requested suite is met and
+1 when one is breached; validation problems exit with status 2 and a
+field-level message, as do a config that cannot be read and an output
+directory that cannot be written.
 """
 
 from __future__ import annotations
@@ -175,8 +177,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2
     except SceneConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
@@ -201,7 +203,7 @@ def main(argv=None) -> int:
     except SceneConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"scene {scene.scene_hash}: {'all checks passed' if ok else 'TOLERANCE BREACH'} "

@@ -119,29 +119,25 @@ class IndicatorMap:
             raise ValueError("indicator values must be finite")
 
 
-REGULARIZATION_SCALE = 1e-4  # default alpha = this * ||data||^2 / ||init||^2
+REGULARIZATION_SCALE = 1e-4  # alpha = this * ||data||^2 / ||init||^2
 MAX_HALVINGS = 20  # line-search halvings before a Gauss-Newton step is rejected
+FD_STEP = 1e-5  # parameter step of the finite-difference Jacobian
 STEP_TOLERANCE = 1e-4  # stop once the relative step drops below this
 
 
 @dataclass(frozen=True)
 class InversionConfig:
-    regularization: float | None = None  # None: REGULARIZATION_SCALE * ||data||^2 / ||init||^2
     max_iterations: int = 25
-    fd_step: float = 1e-5
     target_h: float = 0.1
     data_target_h: float | None = None  # mesh size the data was generated at
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if not (self.fd_step > 0 and self.target_h > 0):
-            raise ValueError("steps and mesh size must be positive")
+        if not self.target_h > 0:
+            raise ValueError(f"target_h must be > 0, got {self.target_h!r}")
         if self.data_target_h is not None and not self.data_target_h > 0:
             raise ValueError(f"data_target_h must be None or > 0, got {self.data_target_h!r}")
-        alpha = self.regularization
-        if alpha is not None and not (np.isfinite(alpha) and alpha >= 0):
-            raise ValueError(f"regularization must be None or finite and >= 0, got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -220,14 +216,8 @@ def invert_profile(
 
     theta = init.values.copy()
     theta_ref = init.values.copy()
-    alpha = cfg.regularization
-    if alpha is None:
-        ref_sq = float(np.sum(theta_ref**2))
-        alpha = (
-            REGULARIZATION_SCALE * float(np.vdot(data, data).real) / ref_sq
-            if ref_sq > 0
-            else 0.0
-        )
+    ref_sq = float(np.sum(theta_ref**2))
+    alpha = REGULARIZATION_SCALE * float(np.vdot(data, data).real) / ref_sq if ref_sq > 0 else 0.0
 
     def F(vals):
         return forward_map(init.clipped(vals), incidents, grid, cfg.target_h)
@@ -243,8 +233,8 @@ def invert_profile(
         J = np.empty((data.size, n_par), dtype=complex)
         for p in range(n_par):
             stepped = theta.copy()
-            stepped[p] += cfg.fd_step
-            J[:, p] = (F(stepped) - data - resid) / cfg.fd_step
+            stepped[p] += FD_STEP
+            J[:, p] = (F(stepped) - data - resid) / FD_STEP
         JtJ = (J.conj().T @ J).real
         grad = (J.conj().T @ resid).real + 2.0 * alpha * (theta - theta_ref)
         lhs = JtJ + 2.0 * alpha * np.eye(n_par)

@@ -32,8 +32,6 @@ _TOP_KEYS = {
     "incidents",
     "farfield_grid",
     "output_dir",
-    "maxwell",
-    "indicator",
     "invert",
 }
 
@@ -50,8 +48,6 @@ class SceneConfig:
     incidents: tuple[dict, ...]
     farfield_grid: dict
     output_dir: str | None
-    maxwell: dict
-    indicator: dict
     invert: dict
     scene_hash: str = field(compare=False, default="")
 
@@ -115,34 +111,10 @@ def validate_config(raw: dict) -> SceneConfig:
     if output_dir is not None and not isinstance(output_dir, str):
         raise SceneConfigError("output_dir", "expected a string path")
 
-    maxwell = _section(raw, "maxwell", {"y", "p"})
-    maxwell = {
-        "y": as_vec3(maxwell.get("y", [0.2, -0.1, 0.8]), "maxwell.y"),
-        "p": as_vec3(maxwell.get("p", [1.0, -2.0, 0.5]), "maxwell.p"),
-    }
-    if maxwell["y"][2] <= 0:
-        raise SceneConfigError("maxwell.y", "dipole must sit above the ground plane")
-
-    indicator = _section(raw, "indicator", {"n_samples", "top", "far_factor"})
-    indicator = {
-        "n_samples": as_int(indicator.get("n_samples", 8), "indicator.n_samples", 2),
-        "top": as_float(indicator.get("top", 1.5), "indicator.top", positive=True),
-        "far_factor": as_float(indicator.get("far_factor", 3.0), "indicator.far_factor", True),
-    }
-
-    invert = _section(
-        raw,
-        "invert",
-        {"init", "data_target_h", "noise_level", "max_iterations", "fd_step", "regularization"},
-    )
+    invert = _section(raw, "invert", {"init", "data_target_h", "noise_level"})
     init = invert.get("init", [0.15, 0.4])
     if not isinstance(init, (list, tuple)) or len(init) != 2:
         raise SceneConfigError("invert.init", f"expected [height, width], got {init!r}")
-    regularization = invert.get("regularization")
-    if regularization is not None:
-        regularization = as_float(regularization, "invert.regularization")
-        if regularization < 0:
-            raise SceneConfigError("invert.regularization", f"must be >= 0, got {regularization!r}")
     noise_level = as_float(invert.get("noise_level", 0.01), "invert.noise_level")
     if noise_level < 0:
         raise SceneConfigError("invert.noise_level", f"must be >= 0, got {noise_level!r}")
@@ -150,9 +122,6 @@ def validate_config(raw: dict) -> SceneConfig:
         "init": [as_float(v, f"invert.init[{i}]") for i, v in enumerate(init)],
         "data_target_h": as_float(invert.get("data_target_h", 0.07), "invert.data_target_h", True),
         "noise_level": noise_level,
-        "max_iterations": as_int(invert.get("max_iterations", 25), "invert.max_iterations", 1),
-        "fd_step": as_float(invert.get("fd_step", 1e-5), "invert.fd_step", positive=True),
-        "regularization": regularization,
     }
 
     cfg = SceneConfig(
@@ -164,8 +133,6 @@ def validate_config(raw: dict) -> SceneConfig:
         incidents=incidents,
         farfield_grid=grid,
         output_dir=output_dir,
-        maxwell=maxwell,
-        indicator=indicator,
         invert=invert,
     )
     hashed = {f.name: getattr(cfg, f.name) for f in fields(cfg)}

@@ -84,6 +84,15 @@ class SuiteTolerances:
 
 DEFAULT_TOLERANCES = SuiteTolerances()
 
+# the electric dipole of the Maxwell suite: position above the plane, polarization
+DIPOLE_POSITION = (0.2, -0.1, 0.8)
+DIPOLE_POLARIZATION = (1.0, -2.0, 0.5)
+# the indicator's probe lines: samples per line, height of the first sample,
+# and the offset of the reference line in support radii
+INDICATOR_SAMPLES = 8
+INDICATOR_TOP = 1.5
+INDICATOR_FAR_FACTOR = 3.0
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -260,7 +269,7 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
 def run_maxwell(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     """Electromagnetic image-field suite: PEC condition, reflection principle,
     finite-difference Maxwell and divergence residuals, Silver-Mueller decay."""
-    src = DipoleSource(y=scene.config.maxwell["y"], p=scene.config.maxwell["p"], k=scene.k)
+    src = DipoleSource(y=DIPOLE_POSITION, p=DIPOLE_POLARIZATION, k=scene.k)
     rng = np.random.default_rng(scene.seed + 505)
     results: list[CheckResult] = []
 
@@ -315,12 +324,10 @@ def run_maxwell(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
 def run_indicator(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     """Blow-up indicator on a descending line over the apex and a reference
     line far from the perturbation."""
-    n = scene.config.indicator["n_samples"]
-    top = scene.config.indicator["top"]
-    far = scene.config.indicator["far_factor"] * scene.mesh.support_radius
-    apex = scene.profile.peak_height
-    bottom = apex + 3.0 * scene.mesh.h
-    z3 = np.linspace(top, bottom, n)
+    n = INDICATOR_SAMPLES
+    far = INDICATOR_FAR_FACTOR * scene.mesh.support_radius
+    bottom = scene.profile.peak_height + 3.0 * scene.mesh.h
+    z3 = np.linspace(INDICATOR_TOP, bottom, n)
 
     descend = np.column_stack([np.zeros(n), np.zeros(n), z3])
     offline = np.column_stack([np.full(n, far), np.zeros(n), z3])
@@ -372,13 +379,8 @@ def run_invert(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     cfg = scene.config.invert
     truth, data = synthesize_invert_data(scene)
     init = ProfileParams.bump(cfg["init"][0], cfg["init"][1], scene.profile.support_radius)
-    inv_cfg = InversionConfig(
-        regularization=cfg["regularization"],
-        max_iterations=cfg["max_iterations"],
-        fd_step=cfg["fd_step"],
-        target_h=scene.config.mesh["target_h"],
-        data_target_h=cfg["data_target_h"],
-    )
+    inv_cfg = InversionConfig(target_h=scene.config.mesh["target_h"],
+                              data_target_h=cfg["data_target_h"])
     recovered, report = invert_profile(data, list(scene.incidents), scene.grid, inv_cfg, init)
     rel = np.abs(recovered.values - truth.values) / np.abs(truth.values)
     return [at_most("invert_parameter_error", np.max(rel), tol.invert_param_rel,

@@ -129,17 +129,6 @@ class TestBlowUpIndicator:
             blow_up_indicator(canonical_dirichlet, np.array([[0.0, 0.0, -0.5]]))
 
 
-@pytest.mark.parametrize("alpha", [-1.0, -1e-300, np.nan, np.inf])
-def test_regularization_must_be_finite_and_nonnegative(alpha):
-    with pytest.raises(ValueError, match="regularization"):
-        InversionConfig(regularization=alpha)
-
-
-@pytest.mark.parametrize("alpha", [None, 0.0, 1e-3])
-def test_regularization_accepts_none_and_finite_nonnegative(alpha):
-    assert InversionConfig(regularization=alpha).regularization == alpha
-
-
 @pytest.mark.parametrize("h", [0.0, -0.07, np.nan])
 def test_data_target_h_must_be_positive(h):
     with pytest.raises(ValueError, match="data_target_h"):
