@@ -36,8 +36,8 @@ from .suites import (
 )
 
 OUT_DIR_ENV = "HALFSCAT_OUT"
-# thread-count setters of the OpenBLAS builds numpy and scipy load (their
-# wheels prefix and suffix the symbols) and of a plain OpenBLAS
+# thread-count setters of the OpenBLAS builds the numpy and scipy wheels ship
+# (which prefix and suffix the symbols) and of a plain OpenBLAS
 BLAS_SET_THREADS = (
     "scipy_openblas_set_num_threads64_",
     "scipy_openblas_set_num_threads",
@@ -141,8 +141,9 @@ def _memory_available_mb() -> float | None:
 def _pin_blas_threads() -> None:
     """Set every OpenBLAS runtime mapped into this process to one thread.
 
-    numpy and scipy each load their own pool, sized by OPENBLAS_NUM_THREADS
-    or the core count.  A blocked LU or product splits its sums by thread
+    numpy's runs the products and the LUs; scipy, where a caller imported
+    it, loads a pool of its own.  Each is sized by OPENBLAS_NUM_THREADS or
+    the core count.  A blocked LU or product splits its sums by thread
     count, so one thread makes the output bytes independent of the
     environment; it also saves the CPU a second thread spends on sector
     blocks of a few hundred rows.  Does nothing where /proc or a library

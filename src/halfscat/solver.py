@@ -16,9 +16,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import zgetrs
 
+from . import lapack
 from .errors import ProximityError, ResonanceError, SolveError
 from .geometry import PanelMesh
 from .incident import IncidentWave, PointSource, eval_pair, grad_pair
@@ -141,7 +140,8 @@ def _dot(u, v):
 def _closest_points_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Closest point of each triangle (a, b, c) to each p; vectorized version
     of Ericson's region classification.  Inputs and result are (3, N)
-    component arrays."""
+    component arrays.  Each region's point is computed only for the pairs
+    that region decides."""
     ab = b - a
     ac = c - a
     ap = p - a
@@ -157,26 +157,40 @@ def _closest_points_on_triangles(p: np.ndarray, a: np.ndarray, b: np.ndarray, c:
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
+    left = np.ones(p.shape[1], dtype=bool)  # pairs no region has decided yet
+
+    def decided(holds):
+        """The pairs a region decides: those where it holds and no earlier
+        region did."""
+        i = np.flatnonzero(holds & left)
+        left[i] = False
+        return i
+
     def _safe_div(num, den):
         return num / np.where(den != 0.0, den, 1.0)
 
+    # Voronoi regions in Ericson's test order: corner a, corner b, edge ab,
+    # corner c, edge ac, edge bc, then the interior
+    out = np.empty_like(p)
     with np.errstate(invalid="ignore", divide="ignore"):
-        t_ab = _safe_div(d1, d1 - d3)
-        t_ac = _safe_div(d2, d2 - d6)
-        t_bc = _safe_div(d4 - d3, (d4 - d3) + (d5 - d6))
-        denom = _safe_div(np.ones_like(va), va + vb + vc)
-        interior = a + ab * (vb * denom) + ac * (vc * denom)
-
-    # Voronoi regions in Ericson's test order; the first that holds decides
-    regions = [
-        ((d1 <= 0) & (d2 <= 0), a),
-        ((d3 >= 0) & (d4 <= d3), b),
-        ((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + ab * t_ab),
-        ((d6 >= 0) & (d5 <= d6), c),
-        ((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + ac * t_ac),
-        ((va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0), b + (c - b) * t_bc),
-    ]
-    return np.select([m for m, _ in regions], [v for _, v in regions], interior)
+        i = decided((d1 <= 0) & (d2 <= 0))
+        out[:, i] = a[:, i]
+        i = decided((d3 >= 0) & (d4 <= d3))
+        out[:, i] = b[:, i]
+        i = decided((vc <= 0) & (d1 >= 0) & (d3 <= 0))
+        out[:, i] = a[:, i] + ab[:, i] * _safe_div(d1[i], d1[i] - d3[i])
+        i = decided((d6 >= 0) & (d5 <= d6))
+        out[:, i] = c[:, i]
+        i = decided((vb <= 0) & (d2 >= 0) & (d6 <= 0))
+        out[:, i] = a[:, i] + ac[:, i] * _safe_div(d2[i], d2[i] - d6[i])
+        d43 = d4 - d3
+        d56 = d5 - d6
+        i = decided((va <= 0) & (d43 >= 0) & (d56 >= 0))
+        out[:, i] = b[:, i] + (c[:, i] - b[:, i]) * _safe_div(d43[i], d43[i] + d56[i])
+        i = np.flatnonzero(left)
+        denom = _safe_div(1.0, va[i] + vb[i] + vc[i])
+        out[:, i] = a[:, i] + ab[:, i] * (vb[i] * denom) + ac[:, i] * (vc[i] * denom)
+    return out
 
 
 def _graded_leaves(verts: np.ndarray, p: np.ndarray):
@@ -233,7 +247,7 @@ class _Factorization:
 
     orbits: np.ndarray  # (m, g) panel indices, m = n / g
     blocks: np.ndarray  # (g, m, m)
-    lus: list  # lu_factor of each B^_p
+    lus: list  # lapack.getrf of each B^_p: its LU in place and its pivots
     cond_estimate: float = np.inf
     assembly_time_s: float = 0.0
     factor_time_s: float = 0.0  # the block LUs and the condition estimate
@@ -241,26 +255,25 @@ class _Factorization:
     @classmethod
     def factor(cls, orbits: np.ndarray, blocks: np.ndarray) -> "_Factorization":
         g, m = blocks.shape[:2]
-        # Fortran-ordered blocks, so lu_factor overwrites them instead of
-        # copying; the sector-axis transform goes through a C-ordered
-        # temporary of _FFT_ROWS rows, which is cheaper than writing it strided
+        # Fortran-ordered blocks, which getrf overwrites with their LUs; the
+        # sector-axis transform goes through a C-ordered temporary of
+        # _FFT_ROWS rows, which is cheaper than writing it strided
         F = np.empty(blocks.shape, dtype=complex).transpose(0, 2, 1)
         for lo in range(0, m, _FFT_ROWS):
             rows = np.fft.ifft(blocks[:, lo:lo + _FFT_ROWS], axis=0)
             rows *= g
             F[:, lo:lo + _FFT_ROWS] = rows
-        return cls(orbits, blocks, [scipy.linalg.lu_factor(b, overwrite_a=True) for b in F])
+        return cls(orbits, blocks, [lapack.getrf(b) for b in F])
 
     def solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
         """A^-1 b, or (A^H)^-1 b with trans=2.  The right-hand side goes to
         the sector-Fourier basis as fft(b[O]) / g and the solution comes back
         as x[O] = g ifft(X^); the factors g cancel, so neither is applied.
         A^H has the same basis, with the blocks B^_p^H.  Each block solve is
-        the LAPACK getrs call that ``lu_solve`` makes (its info reports only
-        illegal arguments)."""
+        one LAPACK getrs call on that block's factors."""
         rhs = np.fft.fft(b[self.orbits], axis=1)
         sol = np.column_stack([
-            zgetrs(lu, piv, rhs[:, p], trans=trans)[0] for p, (lu, piv) in enumerate(self.lus)
+            lapack.getrs(lu, piv, rhs[:, p], trans) for p, (lu, piv) in enumerate(self.lus)
         ])
         x = np.empty(self.orbits.size, dtype=complex)
         x[self.orbits] = np.fft.ifft(sol, axis=1)
@@ -279,7 +292,8 @@ class _Factorization:
 # factors.  Keyed by the mesh object: the entry keeps the mesh alive, so its
 # id is not reused while the entry lives, and an equal mesh built afresh
 # factors again.  Not locked: the package starts no Python thread, and the
-# OpenBLAS pools (set to one thread by `cli.main`) never touch Python objects.
+# OpenBLAS pool numpy loads, which runs the LUs and solves too (set to one
+# thread by `cli.main`), never touches Python objects.
 _FACTOR_CACHE: dict[tuple, tuple[PanelMesh, _Factorization]] = {}
 
 

@@ -293,6 +293,13 @@ def canonical_mesh():
     return mesh_perturbation(prof, 0.085)
 
 
+@pytest.fixture(scope="module")
+def refined_mesh():
+    """The canonical mesh at h/2, 3456 panels."""
+    prof = build_profile({"kind": "gaussian_bump", "R": 1.0, "amplitude": 0.3, "width": 0.25})
+    return mesh_perturbation(prof, 0.0425)
+
+
 def _adjacency(mesh):
     """Every vertex-adjacent pair (i, j): the near pairs of the mesh taken
     without its sector symmetry."""
@@ -356,6 +363,48 @@ def _reference_closest_points(p, a, b, c):
     return out
 
 
+def _select_closest_points(p, a, b, c):
+    """Ericson's closest point on (3, N) component arrays, every region's
+    candidate built for every pair and picked by np.select; also returns
+    the deciding region of each pair (0-5 in test order, 6 the interior)."""
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = solver_mod._dot(ab, ap)
+    d2 = solver_mod._dot(ac, ap)
+    bp = p - b
+    d3 = solver_mod._dot(ab, bp)
+    d4 = solver_mod._dot(ac, bp)
+    cp = p - c
+    d5 = solver_mod._dot(ab, cp)
+    d6 = solver_mod._dot(ac, cp)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    def _safe_div(num, den):
+        return num / np.where(den != 0.0, den, 1.0)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t_ab = _safe_div(d1, d1 - d3)
+        t_ac = _safe_div(d2, d2 - d6)
+        t_bc = _safe_div(d4 - d3, (d4 - d3) + (d5 - d6))
+        denom = _safe_div(np.ones_like(va), va + vb + vc)
+        interior = a + ab * (vb * denom) + ac * (vc * denom)
+
+    regions = [
+        ((d1 <= 0) & (d2 <= 0), a),
+        ((d3 >= 0) & (d4 <= d3), b),
+        ((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + ab * t_ab),
+        ((d6 >= 0) & (d5 <= d6), c),
+        ((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + ac * t_ac),
+        ((va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0), b + (c - b) * t_bc),
+    ]
+    holds = [m for m, _ in regions]
+    return (np.select(holds, [v for _, v in regions], interior),
+            np.select(holds, range(6), 6))
+
+
 def _reference_leaves(verts, p, levels=3):
     """Graded leaves with np.cross and np.linalg.norm: verts (N, 3, 3),
     p (N, 3); centroids (N, L, 3) and areas (N, L)."""
@@ -404,6 +453,38 @@ class TestNearGeometry:
         assert cents.shape == (3, len(rows), GRADED_LEAVES) and cents[0].flags.c_contiguous
         assert np.array_equal(np.moveaxis(cents, 0, -1), cents_ref)
         assert np.array_equal(areas, areas_ref)
+
+    def test_closest_points_on_random_triangles(self):
+        """Against every candidate picked by np.select, bit for bit, on
+        200 000 random triangles that every region decides for some pairs:
+        degenerate ones, where the divisions by zero are guarded, and ones
+        on an integer grid, where the test order decides the ties."""
+        rng = np.random.default_rng(3)
+        p, a, b, c = rng.normal(size=(4, 3, 200_000))
+        k = 1000
+        b[:, :k] = a[:, :k]  # a repeated corner
+        c[:, k:2 * k] = a[:, k:2 * k] + 2.0 * (b[:, k:2 * k] - a[:, k:2 * k])  # collinear
+        b[:, 2 * k:3 * k] = c[:, 2 * k:3 * k] = a[:, 2 * k:3 * k]  # a point
+        p[:, 3 * k:4 * k] = b[:, 3 * k:4 * k]  # p on a corner
+        # half on small integer coordinates, where region boundaries tie exactly
+        p[:, 100_000:], a[:, 100_000:], b[:, 100_000:], c[:, 100_000:] = rng.integers(
+            -2, 3, size=(4, 3, 100_000))
+        ref, region = _select_closest_points(p, a, b, c)
+        assert np.bincount(region, minlength=7).min() > 0
+        assert _closest_points_on_triangles(p, a, b, c).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("bc", [D, N])
+    @pytest.mark.parametrize("mesh_name", ["canonical_mesh", "refined_mesh"])
+    def test_near_block_against_select(self, request, mesh_name, bc, monkeypatch):
+        """The near block of the 864- and 3456-panel canonical meshes with
+        the np.select closest points, bit for bit."""
+        mesh = request.getfixturevalue(mesh_name)
+        near = tuple(mesh.topology().near_slots)
+        monkeypatch.setattr(solver_mod, "collocation_tiles", lambda *args: iter(()))
+        block = _assemble_blocks(mesh, 2.0, bc)[near]
+        monkeypatch.setattr(solver_mod, "_closest_points_on_triangles",
+                            lambda p, a, b, c: _select_closest_points(p, a, b, c)[0])
+        assert block.tobytes() == _assemble_blocks(mesh, 2.0, bc)[near].tobytes()
 
 
 @pytest.mark.parametrize("mesh_name", ["small_bump_mesh", "piecewise_mesh"])

@@ -262,17 +262,23 @@ class TestCli:
             assert f"dense_system_mb: {round(32 * n**2 / g / 2**20, 1)}\n" in out, verb
             assert f"symmetry_sectors: {g}\n" in out, verb
 
-    def test_forward_does_not_import_scipy_sparse(self, flat_config, tmp_path):
+    def test_cli_imports_no_scipy(self, flat_config, tmp_path):
+        """A solve factors through numpy's LAPACK, so scipy stays unloaded;
+        invert on the flat scene exits 2 after loading every suite."""
         src = str(Path(halfscat.__file__).resolve().parents[1])
         probe = ("import sys; from halfscat.cli import main; code = main(sys.argv[1:]); "
-                 "print('scipy.sparse' in sys.modules); sys.exit(code)")
-        run = subprocess.run(
-            [sys.executable, "-c", probe, "forward", "--config", flat_config,
-             "--out", str(tmp_path / "o")],
-            env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, check=True,
-            capture_output=True, text=True,
-        )
-        assert run.stdout.splitlines()[-1] == "False"
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+                 "sys.exit(code)")
+        for verb, extra, code in (("forward", [], 0), ("invert", [], 2),
+                                  ("identities", ["--dry-run"], 0)):
+            run = subprocess.run(
+                [sys.executable, "-c", probe, verb, "--config", flat_config,
+                 "--out", str(tmp_path / verb), *extra],
+                env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                capture_output=True, text=True,
+            )
+            assert run.returncode == code, (verb, run.stderr)
+            assert run.stdout.splitlines()[-1] == "[]", verb
 
     def test_dry_run_sizes_the_stored_system(self, tmp_path, capsys, monkeypatch):
         """A piecewise-linear scene keeps the dense system; the memory lines
@@ -527,8 +533,9 @@ class TestCli:
             assert main(["maxwell", "--config", flat_config, "--tolerance-scale", scale]) == 2
 
     def test_blas_environment_leaves_output_bytes(self, tmp_path):
-        """OPENBLAS_NUM_THREADS sizes the pools numpy and scipy load; the CLI
-        pins them to one thread, so the output bytes do not depend on it."""
+        """OPENBLAS_NUM_THREADS sizes the pool numpy loads, which runs the
+        products and the LUs; the CLI pins it to one thread, so the output
+        bytes do not depend on it."""
         cfg = write_config(tmp_path, canonical_config(mesh={"target_h": 0.18}))
         src = str(Path(halfscat.__file__).resolve().parents[1])
         for threads in ("1", "2"):

@@ -1,11 +1,14 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 import halfscat.kernels as kernels_mod
+import halfscat.lapack as lapack_mod
 import halfscat.solver as solver_mod
 from conftest import dense_matrix, helmholtz_rel_residual
 from halfscat.errors import ProximityError, ResonanceError
@@ -97,14 +100,11 @@ class TestSolveContract:
         orbits = small_bump_mesh.sector_orbits()
         m, g = orbits.shape
         singular = np.ones((g, m, m), dtype=complex)  # A of rank one: exact zero pivots
-        with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
-            fact = solver_mod._Factorization.factor(orbits, singular)
+        fact = solver_mod._Factorization.factor(orbits, singular)
         assert solver_mod._condition_estimate(fact) == np.inf
         solver_mod.clear_factorization_cache()
         monkeypatch.setattr(solver_mod, "_assemble_blocks", lambda *args: singular)
-        with pytest.raises(ResonanceError, match="inf exceeds"), pytest.warns(
-            scipy.linalg.LinAlgWarning
-        ):
+        with pytest.raises(ResonanceError, match="inf exceeds"):
             get_factorization(small_bump_mesh, 2.0, D)
         assert not solver_mod._FACTOR_CACHE
 
@@ -138,6 +138,32 @@ class TestSolveContract:
         assert solver_mod._condition_estimate(fact) == np.inf
 
 
+def test_lapack_rejects_what_it_cannot_pass(monkeypatch):
+    """Arrays in another layout or type, a non-finite matrix and an unknown
+    trans are refused before any pointer is passed; without numpy's routines
+    or scipy, a factorization says which is missing."""
+    c_order = np.array([[1, 2], [3, 4]], dtype=complex)
+    for bad in (c_order, np.zeros((3, 2), complex, order="F"),
+                np.eye(2, dtype=np.complex64, order="F")):
+        with pytest.raises(ValueError, match="getrf needs"):
+            lapack_mod.getrf(bad)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lapack_mod.getrf(np.full((2, 2), np.nan, complex, order="F"))
+    lu, piv = lapack_mod.getrf(np.asfortranarray(c_order))
+    assert piv.tolist() == [2, 2]
+    with pytest.raises(ValueError, match="int64 pivots"):
+        lapack_mod.getrs(lu, piv.astype(np.int32), np.ones(2))
+    with pytest.raises(ValueError, match="does not fit"):
+        lapack_mod.getrs(lu, piv, np.ones(3))
+    with pytest.raises(ValueError, match="trans"):
+        lapack_mod.getrs(lu, piv, np.ones(2), trans=3)
+    assert np.allclose(c_order @ lapack_mod.getrs(lu, piv, np.ones(2)), 1, rtol=0, atol=1e-15)
+    monkeypatch.setattr(lapack_mod, "_routines", lambda: None)
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    with pytest.raises(RuntimeError, match="zgetrf_64_ and scipy"):
+        lapack_mod.getrf(np.asfortranarray(c_order))
+
+
 def _onenormest(fact):
     """scipy's estimate of ||A^-1||_1 with one column, through the block
     solves."""
@@ -169,7 +195,9 @@ def _adjoint_cast(radial, d, nu_x, nu_y, k):
 
 
 def _lu_bytes(fact):
-    return [(lu.tobytes(), piv.tobytes()) for lu, piv in fact.lus]
+    """The LU bytes and the 1-based int64 pivots of each block."""
+    assert all(piv.dtype == np.int64 for _, piv in fact.lus)
+    return [(lu.tobytes(), piv.tolist()) for lu, piv in fact.lus]
 
 
 @pytest.mark.parametrize("bc", [D, N])
@@ -203,7 +231,8 @@ class TestMissPath:
         F = np.empty(blocks.shape, dtype=complex).transpose(0, 2, 1)
         np.fft.ifft(blocks, axis=0, out=F)
         F *= g
-        ref = [(lu.tobytes(), piv.tobytes()) for lu, piv in
+        # scipy numbers the pivots from 0
+        ref = [(lu.tobytes(), (piv + 1).tolist()) for lu, piv in
                (scipy.linalg.lu_factor(b, overwrite_a=True) for b in F)]
         assert solver_mod._FFT_ROWS <= 32 and m % 7  # 7 rows leave a ragged last chunk
         for rows in (solver_mod._FFT_ROWS, 7, m + 5):
@@ -218,12 +247,38 @@ class TestMissPath:
         for trans in (0, 2):
             rhs = np.fft.fft(b[fact.orbits], axis=1)
             sol = np.column_stack([
-                scipy.linalg.lu_solve(lu, rhs[:, p], trans=trans, check_finite=False)
-                for p, lu in enumerate(fact.lus)
+                scipy.linalg.lu_solve((lu, piv - 1), rhs[:, p], trans=trans, check_finite=False)
+                for p, (lu, piv) in enumerate(fact.lus)
             ])
             ref = np.empty(mesh.n_panels, dtype=complex)
             ref[fact.orbits] = np.fft.ifft(sol, axis=1)
             assert fact.solve(b, trans=trans).tobytes() == ref.tobytes()
+
+    def test_scipy_fallback(self, mesh, bc, monkeypatch):
+        """Where numpy's BLAS exports no zgetrf, ``lapack`` runs the same
+        routines through scipy: the same factors, solves and estimate."""
+        solver_mod.clear_factorization_cache()
+        fact = get_factorization(mesh, 2.0, bc)
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels)
+        calls = []
+
+        def counted(name):
+            routine = getattr(scipy.linalg.lapack, name)
+            return lambda *args, **kwargs: calls.append(name) or routine(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lapack_mod, "_routines", lambda: None)
+            for name in ("zgetrf", "zgetrs"):
+                patch.setattr(scipy.linalg.lapack, name, counted(name))
+            solver_mod.clear_factorization_cache()
+            ref = get_factorization(mesh, 2.0, bc)
+            solves = [ref.solve(b, trans=trans).tobytes() for trans in (0, 2)]
+        assert calls.count("zgetrf") == mesh.sectors and "zgetrs" in calls
+        assert _lu_bytes(ref) == _lu_bytes(fact)
+        assert solves == [fact.solve(b, trans=trans).tobytes() for trans in (0, 2)]
+        assert ref.cond_estimate == fact.cond_estimate
+        solver_mod.clear_factorization_cache()
 
     def test_estimate_is_onenormest(self, mesh, bc):
         solver_mod.clear_factorization_cache()
