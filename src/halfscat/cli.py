@@ -10,7 +10,6 @@ directory that cannot be written.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import math
@@ -22,6 +21,7 @@ from pathlib import Path
 from .errors import SceneConfigError
 from .geometry import export_mesh_csv, ring_count
 from .inverse import export_indicator_csv, export_inversion_trace_csv
+from .lapack import pin_one_thread
 from .scene import build_scene, load_config
 from .solver import eval_farfields, export_density_csv, export_farfield_csv, solve_scattered
 from .suites import (
@@ -36,14 +36,6 @@ from .suites import (
 )
 
 OUT_DIR_ENV = "HALFSCAT_OUT"
-# thread-count setters of the OpenBLAS builds the numpy and scipy wheels ship
-# (which prefix and suffix the symbols) and of a plain OpenBLAS
-BLAS_SET_THREADS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,37 +130,9 @@ def _memory_available_mb() -> float | None:
     return None
 
 
-def _pin_blas_threads() -> None:
-    """Set every OpenBLAS runtime mapped into this process to one thread.
-
-    numpy's runs the products and the LUs; scipy, where a caller imported
-    it, loads a pool of its own.  Each is sized by OPENBLAS_NUM_THREADS or
-    the core count.  A blocked LU or product splits its sums by thread
-    count, so one thread makes the output bytes independent of the
-    environment; it also saves the CPU a second thread spends on sector
-    blocks of a few hundred rows.  Does nothing where /proc or a library
-    cannot be read.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        setter = next((getattr(lib, name) for name in BLAS_SET_THREADS if hasattr(lib, name)),
-                      None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _pin_blas_threads()
+    pin_one_thread()
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2

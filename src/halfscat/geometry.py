@@ -243,14 +243,14 @@ def build_profile(spec: dict) -> SurfaceProfile:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PanelMesh:
     """Flat-triangle mesh of the perturbed disc, lifted to the graph of f.
 
     ``vertices``/``triangles`` give the structured ring triangulation;
     centroids, areas and upward unit normals are per panel.  ``sectors`` is
     the order of the rotation group the mesh is invariant under: 6 for a
-    radial profile on the ring grid, else 1.
+    radial profile on the ring grid, else 1.  Meshes compare by identity.
     """
 
     vertices: np.ndarray

@@ -1,35 +1,48 @@
-"""Complex LU factorization and solves: LAPACK's zgetrf and zgetrs.
+"""The BLAS that does the package's arithmetic: LAPACK's zgetrf and zgetrs
+for LU factorization and solves, and the size of its thread pool.
 
-They are called through ctypes from the OpenBLAS that numpy's wheel already
-maps into the process, an ILP64 build whose symbols carry a ``scipy_`` prefix
-and a ``64_`` suffix, so a solve imports nothing beyond numpy.  Where numpy's
-BLAS exports neither ``scipy_zgetrf_64_`` nor ``zgetrf_64_`` (a distro or MKL
-build), the same routines run through ``scipy.linalg.lapack``, imported on
-first use.  Either way the pivots are LAPACK's: 1-based int64 row
-interchanges.
+The routines are called through ctypes from the OpenBLAS that numpy's wheel
+already maps into the process, an ILP64 build whose symbols carry a
+``scipy_`` prefix and a ``64_`` suffix, so a solve imports nothing beyond
+numpy.  Where numpy's BLAS exports neither ``scipy_zgetrf_64_`` nor
+``zgetrf_64_`` (a distro or MKL build), the same routines run through
+``scipy.linalg.lapack``, imported on first use, in the OpenBLAS scipy loads.
+Either way the pivots are LAPACK's: 1-based int64 row interchanges.  Only
+``pin_one_thread`` changes a pool.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import sys
 
 import numpy as np
 
 _INT = ctypes.c_int64  # the library is ILP64
 _INT_P = ctypes.POINTER(_INT)
 _TRANS = (b"N", b"T", b"C")  # trans 0, 1, 2 as scipy numbers them
+# thread-count setters of the OpenBLAS builds the numpy and scipy wheels ship
+# (which prefix and suffix the symbols) and of a plain OpenBLAS
+_SET_THREADS = [f"{prefix}openblas_set_num_threads{suffix}"
+                for prefix in ("scipy_", "") for suffix in ("64_", "")]
+
+
+@functools.cache
+def _numpy_blas():
+    """numpy's extension module, opened so that its symbol lookups resolve
+    through its dependency on the BLAS it loaded; None where it cannot be."""
+    try:
+        return ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
 
 
 @functools.cache
 def _routines():
-    """(zgetrf, zgetrs) of numpy's LAPACK, or None where it exports neither
-    name.  Opening numpy's extension module resolves the symbols through its
-    dependency on the OpenBLAS it loaded."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
-        return None
+    """(zgetrf, zgetrs) of numpy's LAPACK, or None where it cannot be opened
+    or exports neither name."""
+    lib = _numpy_blas()
     for prefix in ("scipy_", ""):
         getrf = getattr(lib, f"{prefix}zgetrf_64_", None)
         getrs = getattr(lib, f"{prefix}zgetrs_64_", None)
@@ -58,6 +71,29 @@ def _scipy_routine(name: str):
             f"numpy's BLAS exports no {name}_64_ and scipy, which would supply it, "
             "is not installed") from exc
     return getattr(lapack, name)
+
+
+def pin_one_thread() -> None:
+    """Set numpy's OpenBLAS pool to one thread, and scipy's where a caller
+    has imported its LAPACK or the LUs will run there (imported here first).
+    A pool sized by OPENBLAS_NUM_THREADS or the core count splits the sums
+    of a blocked LU or product by thread count, so one thread makes the
+    output bytes independent of the environment.  A library that cannot be
+    opened or exports no known setter is left as it is."""
+    libs = [_numpy_blas()]
+    flapack = sys.modules.get("scipy.linalg._flapack")
+    if flapack is None and _routines() is None:
+        try:
+            from scipy.linalg import _flapack as flapack
+        except ImportError:
+            pass  # the first LU reports the missing scipy
+    if flapack is not None:
+        libs.append(ctypes.CDLL(flapack.__file__))
+    for lib in libs:
+        setter = next((getattr(lib, n) for n in _SET_THREADS if hasattr(lib, n)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
 
 
 def _check_info(info: int, routine: str) -> None:

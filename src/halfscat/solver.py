@@ -289,12 +289,10 @@ class _Factorization:
 
 
 # At most one entry, so memory is bounded by the largest system a run
-# factors.  Keyed by the mesh object: the entry keeps the mesh alive, so its
-# id is not reused while the entry lives, and an equal mesh built afresh
-# factors again.  Not locked: the package starts no Python thread, and the
-# OpenBLAS pool numpy loads, which runs the LUs and solves too (set to one
-# thread by `cli.main`), never touches Python objects.
-_FACTOR_CACHE: dict[tuple, tuple[PanelMesh, _Factorization]] = {}
+# factors.  Keyed by the mesh object, which compares by identity.  Not
+# locked: the package starts no Python thread, and the OpenBLAS pools that
+# run the LUs and solves never touch Python objects.
+_FACTOR_CACHE: dict[tuple, _Factorization] = {}
 
 
 def clear_factorization_cache() -> None:
@@ -402,7 +400,7 @@ def _condition_estimate(fact: _Factorization) -> float:
 
 
 def _cache_key(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> tuple:
-    return (id(mesh), float(k), bc.value)
+    return (mesh, float(k), bc)
 
 
 def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Factorization:
@@ -411,7 +409,7 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
     factorization first, so the old and new systems are never held together."""
     key = _cache_key(mesh, k, bc)
     if key in _FACTOR_CACHE:
-        return _FACTOR_CACHE[key][1]
+        return _FACTOR_CACHE[key]
 
     _FACTOR_CACHE.clear()
     t0 = time.perf_counter()
@@ -432,7 +430,7 @@ def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Fact
             f"condition estimate {cond:.2e} exceeds {CONDITION_LIMIT:.0e} for the "
             "combined-field system"
         )
-    _FACTOR_CACHE[key] = mesh, fact
+    _FACTOR_CACHE[key] = fact
     return fact
 
 

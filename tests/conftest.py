@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from halfscat.cli import _pin_blas_threads
 from halfscat.geometry import build_profile, mesh_perturbation
+from halfscat.lapack import pin_one_thread
 from halfscat.scene import build_scene, validate_config
 from halfscat.solver import _assemble_blocks
 
@@ -26,8 +26,10 @@ def canonical_config(bc="dirichlet", **overrides):
 @pytest.fixture(scope="session", autouse=True)
 def blas_one_thread():
     """Run every test with its BLAS on one thread, as the CLI runs, so that
-    no result depends on whether an in-process CLI call came first."""
-    _pin_blas_threads()
+    no result depends on whether an in-process CLI call came first: numpy's
+    pool, and scipy's, which the test modules have imported by now as a
+    reference."""
+    pin_one_thread()
 
 
 @pytest.fixture(scope="session")

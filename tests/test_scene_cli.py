@@ -534,30 +534,54 @@ class TestCli:
 
     def test_blas_environment_leaves_output_bytes(self, tmp_path):
         """OPENBLAS_NUM_THREADS sizes the pool numpy loads, which runs the
-        products and the LUs; the CLI pins it to one thread, so the output
-        bytes do not depend on it."""
+        products and the LUs, and the pool of scipy's fallback, which runs
+        the LUs where numpy's BLAS exports none (forced here).  The CLI pins
+        both to one thread, so the output bytes depend on neither the
+        environment nor the path."""
         cfg = write_config(tmp_path, canonical_config(mesh={"target_h": 0.18}))
         src = str(Path(halfscat.__file__).resolve().parents[1])
-        for threads in ("1", "2"):
+        fallback = ("import sys, halfscat.cli, halfscat.lapack; "
+                    "halfscat.lapack._routines = lambda: None; "
+                    "sys.exit(halfscat.cli.main(sys.argv[1:]))")
+        runs = [(path, threads) for path in ("ctypes", "scipy") for threads in ("1", "2")]
+        for path, threads in runs:
+            entry = ["-m", "halfscat.cli"] if path == "ctypes" else ["-c", fallback]
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
             for verb in ("identities", "forward"):
-                subprocess.run([sys.executable, "-m", "halfscat.cli", verb, "--config", cfg,
-                                "--out", str(tmp_path / f"{verb}-{threads}")],
+                subprocess.run([sys.executable, *entry, verb, "--config", cfg,
+                                "--out", str(tmp_path / f"{verb}-{path}-{threads}")],
                                env=env, cwd=tmp_path, check=True, capture_output=True)
         for name in ("identities/identities.jsonl", "forward/farfield_000.csv",
                      "forward/density_000.csv"):
             verb, file = name.split("/")
-            one = (tmp_path / f"{verb}-1" / file).read_bytes()
-            assert one == (tmp_path / f"{verb}-2" / file).read_bytes(), name
+            one = (tmp_path / f"{verb}-ctypes-1" / file).read_bytes()
+            for path, threads in runs[1:]:
+                run_bytes = (tmp_path / f"{verb}-{path}-{threads}" / file).read_bytes()
+                assert one == run_bytes, (name, path, threads)
 
-    def test_main_pins_blas_threads(self, flat_config, capsys):
+    def test_main_pins_blas_threads(self, flat_config, capsys, monkeypatch):
+        """main sets every OpenBLAS runtime mapped into this process, numpy's
+        and the scipy the tests import, to one thread, also where
+        /proc/self/maps cannot be read."""
         runtimes = _blas_thread_controls()
         if not runtimes:
             pytest.skip("no OpenBLAS runtime mapped into this process")
-        for _, set_threads in runtimes:
-            set_threads(2)
-        assert main(["forward", "--config", flat_config, "--dry-run"]) == 0
-        assert [get_threads() for get_threads, _ in runtimes] == [1] * len(runtimes)
+        real_open = open
+
+        def open_without_proc(file, *args, **kwargs):
+            if str(file) == "/proc/self/maps":
+                raise OSError("/proc/self/maps cannot be read")
+            return real_open(file, *args, **kwargs)
+
+        for proc_readable in (True, False):
+            for _, set_threads in runtimes:
+                set_threads(2)
+            with monkeypatch.context() as patch:
+                if not proc_readable:
+                    patch.setattr("builtins.open", open_without_proc)
+                assert main(["forward", "--config", flat_config, "--dry-run"]) == 0
+            threads = [get_threads() for get_threads, _ in runtimes]
+            assert threads == [1] * len(runtimes), proc_readable
 
 
 def assert_stamped(out_dir: Path, stdout: str) -> None:
@@ -578,13 +602,16 @@ def assert_stamped(out_dir: Path, stdout: str) -> None:
 
 def _blas_thread_controls():
     """(get, set) thread-count functions of every OpenBLAS runtime mapped
-    into this process."""
+    into this process, found apart from the package: by the library paths
+    in /proc/self/maps and the setter names of the numpy and scipy wheels'
+    builds and of a plain OpenBLAS."""
     with open("/proc/self/maps", encoding="utf-8") as fh:
         paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
     controls = []
     for path in sorted(p for p in paths if p.startswith("/")):
         lib = ctypes.CDLL(path)
-        for name in cli_mod.BLAS_SET_THREADS:
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
             if hasattr(lib, name):
                 get_threads = getattr(lib, name.replace("_set_", "_get_"))
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int

@@ -112,7 +112,7 @@ class TestSolveContract:
         pw = PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D)
         solve_scattered(small_bump_mesh, pw)
         solve_scattered(flat_mesh, pw)
-        assert list(solver_mod._FACTOR_CACHE) == [solver_mod._cache_key(flat_mesh, 2.0, D)]
+        assert list(solver_mod._FACTOR_CACHE) == [(flat_mesh, 2.0, D)]
         _, report = solve_scattered(small_bump_mesh, pw)
         assert not report.cache_hit
 
@@ -124,6 +124,9 @@ class TestSolveContract:
         dense = get_factorization(dataclasses.replace(small_bump_mesh, sectors=1), 2.0, D)
         assert dense is not cached
         assert cached.orbits.shape[1] == 6 and dense.orbits.shape[1] == 1
+        # an equal mesh built apart is another key, and every mesh hashes
+        twin = dataclasses.replace(small_bump_mesh)
+        assert twin != small_bump_mesh and len({twin, small_bump_mesh}) == 2
 
     @pytest.mark.parametrize("bc", [D, N])
     def test_one_norm_bit_equal_to_numpy(self, small_bump_mesh, bc):
