@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .incident import PlaneWave, PointSource
-from .kernels import MIRROR, BoundaryCondition, GreenKernel, eval_G
+from .kernels import MIRROR, BoundaryCondition, GreenKernel, eval_G, unit_phase
 from .solver import (
     DirectionGrid,
     LayerDensity,
@@ -116,10 +116,10 @@ def check_reflected_farfield(
     s = bc.image_sign
     z_img = z * MIRROR
     # far-field coefficient of s*Phi(x, z') observed at direction -d
-    lhs = 4 * np.pi * s * np.exp(-1j * k * np.dot(-d, z_img)) / (4 * np.pi)
+    lhs = 4 * np.pi * s * unit_phase(-k * np.dot(-d, z_img)) / (4 * np.pi)
     # reflected plane wave evaluated at the source position
     d_spec = d * MIRROR
-    rhs = s * np.exp(1j * k * np.dot(d_spec, z))
+    rhs = s * unit_phase(k * np.dot(d_spec, z))
     return _report("reflected_farfield", lhs, rhs)
 
 

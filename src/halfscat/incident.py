@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import BoundaryCondition, GreenKernel, eval_G, grad_G_x
+from .kernels import BoundaryCondition, GreenKernel, eval_G, grad_G_x, unit_phase
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def eval_plane_pair(w: PlaneWave, x: np.ndarray) -> np.ndarray:
     e^{ik(a x1 + b x2)} (e^{-ik g x3} -/+ e^{ik g x3})."""
     x = np.asarray(x, dtype=float)
     s = w.bc.image_sign
-    return np.exp(1j * w.k * (x @ w.d)) + s * np.exp(1j * w.k * (x @ w.d_spec))
+    return unit_phase(w.k * (x @ w.d)) + s * unit_phase(w.k * (x @ w.d_spec))
 
 
 def grad_plane_pair(w: PlaneWave, x: np.ndarray) -> np.ndarray:
@@ -89,8 +89,8 @@ def grad_plane_pair(w: PlaneWave, x: np.ndarray) -> np.ndarray:
     e^{ik g x3}(d'.nu)]."""
     x = np.asarray(x, dtype=float)
     s = w.bc.image_sign
-    inc = (1j * w.k) * np.exp(1j * w.k * (x @ w.d))
-    ref = (1j * w.k) * s * np.exp(1j * w.k * (x @ w.d_spec))
+    inc = (1j * w.k) * unit_phase(w.k * (x @ w.d))
+    ref = (1j * w.k) * s * unit_phase(w.k * (x @ w.d_spec))
     return inc[..., None] * w.d + ref[..., None] * w.d_spec
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import SingularityError
 from .geometry import Plane, mirror, reflect_linear
 from .identities import DECAY_RADII, fit_loglog_slope
-from .kernels import SINGULARITY_GUARD
+from .kernels import SINGULARITY_GUARD, free_space
 
 
 @dataclass(frozen=True)
@@ -67,15 +67,15 @@ def _dipole_EH(x: np.ndarray, y: np.ndarray, p: np.ndarray, k: float):
     if np.min(r) < SINGULARITY_GUARD:
         raise SingularityError(f"evaluation point coincides with the dipole at y={y.tolist()}")
     rhat = diff / r[..., None]
-    phi = np.exp(1j * k * r) / (4 * np.pi * r)
-    dphi = (1j * k - 1.0 / r) * phi
+    phi, c = free_space(r, k)  # c = Phi'(r) / r
+    dphi = c * r
     d2phi = (-(k**2) - 2j * k / r + 2.0 / r**2) * phi
     rp = rhat @ p
     H = dphi[..., None] * np.cross(rhat, np.broadcast_to(p, rhat.shape))
     E = (1j / k) * (
         (k**2) * phi[..., None] * p
         + d2phi[..., None] * rp[..., None] * rhat
-        + (dphi / r)[..., None] * (p - rp[..., None] * rhat)
+        + c[..., None] * (p - rp[..., None] * rhat)
     )
     return E, H
 
