@@ -30,7 +30,7 @@ from .kernels import (
     farfield_matrix,
     representation,
 )
-from .util import scene_comment, write_table
+from .util import even_slices, scene_comment, write_table
 
 SOLVE_RESIDUAL_RTOL = 1e-10
 CONDITION_LIMIT = 1e8
@@ -205,29 +205,31 @@ def _graded_leaves(verts: np.ndarray, p: np.ndarray):
     toward corner ia + 1 holding two leaves per level and the last one at p."""
     n = p.shape[-1]
     per_fan = 2 * GRADED_LEVELS + 1
-    # leaf corners, indexed [leaf corner, component, fan, leaf in fan, panel]
-    t = np.empty((3, 3, 3, per_fan, n))
-    pc = p[:, None, :]
-    a_prev = verts.transpose(1, 0, 2)
-    b_prev = verts[[1, 2, 0]].transpose(1, 0, 2)
-    for m in range(GRADED_LEVELS):
-        a_next = pc + 0.5 * (a_prev - pc)
-        b_next = pc + 0.5 * (b_prev - pc)
-        t[:, :, :, 2 * m] = a_prev, b_prev, b_next
-        t[:, :, :, 2 * m + 1] = a_prev, b_next, a_next
-        a_prev, b_prev = a_next, b_next
-    t[0, :, :, -1] = pc
-    t[1:, :, :, -1] = a_prev, b_prev
-    t0, t1, t2 = t.reshape(3, 3, 3 * per_fan, n)
-    cents = (t0 + t1 + t2) / 3.0
-    u = t1 - t0
-    v = t2 - t0
-    # u x v written out as np.cross forms it, its norm as np.linalg.norm sums
-    c0 = u[1] * v[2] - u[2] * v[1]
-    c1 = u[2] * v[0] - u[0] * v[2]
-    c2 = u[0] * v[1] - u[1] * v[0]
-    areas = 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-    return np.ascontiguousarray(cents.transpose(0, 2, 1)), np.ascontiguousarray(areas.T)
+    # the fans' corners at each level, indexed [component, panel, fan]
+    pc = p[:, :, None]
+    a = [np.ascontiguousarray(verts.transpose(1, 2, 0))]
+    b = [np.ascontiguousarray(verts[[1, 2, 0]].transpose(1, 2, 0))]
+    for _ in range(GRADED_LEVELS):
+        a.append(pc + 0.5 * (a[-1] - pc))
+        b.append(pc + 0.5 * (b[-1] - pc))
+    leaves = [corners for m in range(GRADED_LEVELS)
+              for corners in ((a[m], b[m], b[m + 1]), (a[m], b[m + 1], a[m + 1]))]
+    leaves.append((pc, a[-1], b[-1]))
+    # each leaf's centroid and area, written straight into the final layout
+    cents = np.empty((3, n, 3, per_fan))
+    areas = np.empty((n, 3, per_fan))
+    for j, (t0, t1, t2) in enumerate(leaves):
+        c = t0 + t1
+        c += t2
+        np.divide(c, 3.0, out=cents[..., j])
+        u = t1 - t0
+        v = t2 - t0
+        # u x v written out as np.cross forms it, its norm as np.linalg.norm sums
+        c0 = u[1] * v[2] - u[2] * v[1]
+        c1 = u[2] * v[0] - u[0] * v[2]
+        c2 = u[0] * v[1] - u[1] * v[0]
+        np.multiply(0.5, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), out=areas[..., j])
+    return cents.reshape(3, n, 3 * per_fan), areas.reshape(n, 3 * per_fan)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +304,10 @@ def clear_factorization_cache() -> None:
 def _assemble_blocks(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.ndarray:
     """The real-space blocks B_s of ``_Factorization``, (g, m, m), from the
     rows of sector 0 alone (with g = 1 the one block is the dense matrix),
-    built in pieces of about _ROW_BLOCK**2 integrand entries: the far entries
-    in ``collocation_tiles``, then the self and vertex-adjacent pairs (i, j)
-    by graded subdivision toward the point of panel j closest to the
-    centroid of i."""
+    built in pieces of at most about _ROW_BLOCK**2 integrand entries, cut
+    evenly (``even_slices``): the far entries in ``collocation_tiles``, then
+    the self and vertex-adjacent pairs (i, j) by graded subdivision toward
+    the point of panel j closest to the centroid of i."""
     topo = mesh.topology()
     orbits = topo.orbits
     m, g = orbits.shape
@@ -320,8 +322,8 @@ def _assemble_blocks(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.nda
 
     corners = np.ascontiguousarray(mesh.panel_vertices().transpose(1, 2, 0))
     chunk = max(1, _ROW_BLOCK * _ROW_BLOCK // GRADED_LEAVES)
-    for lo in range(0, len(topo.near_pairs), chunk):
-        rows, cols = topo.near_pairs[lo:lo + chunk].T
+    for piece in even_slices(len(topo.near_pairs), chunk):
+        rows, cols = topo.near_pairs[piece].T
         x = cents[:, rows]
         tri = corners[:, :, cols]
         p_sing = _closest_points_on_triangles(x, tri[0], tri[1], tri[2])
@@ -329,7 +331,7 @@ def _assemble_blocks(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.nda
         vals = collocation(
             bc, x[:, :, None], normals[:, rows, None], leaf_cents, normals[:, cols, None], k
         )
-        B[tuple(topo.near_slots[:, lo:lo + chunk])] = np.sum(vals * leaf_areas, axis=1)
+        B[tuple(topo.near_slots[:, piece])] = np.sum(vals * leaf_areas, axis=1)
 
     B[0, np.arange(m), np.arange(m)] += 0.5 if bc is BoundaryCondition.DIRICHLET else -0.5
     return B

@@ -1,5 +1,5 @@
-"""Small shared helpers: config field checks, canonical JSON, content hashing
-and the CSV table writer."""
+"""Small shared helpers: config field checks, canonical JSON, content hashing,
+the CSV table writer and the even cut of an index range into pieces."""
 
 from __future__ import annotations
 
@@ -95,3 +95,12 @@ def write_table(path, comment: str | None, header: list[str], columns) -> None:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\r\n")
         fh.write((row + "\r\n") * len(columns[0]) % values)
+
+
+def even_slices(n: int, budget: int) -> list[slice]:
+    """Slices that cover range(n) in the fewest pieces of at most ``budget``
+    items, their lengths differing by at most one: 144 items in pieces of
+    at most 128 are cut 72 + 72, not 128 + 16."""
+    pieces = max(1, -(-n // budget))
+    bounds = [p * n // pieces for p in range(pieces + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

@@ -162,6 +162,28 @@ class TestConfigValidation:
         f2.write_text(yaml.safe_dump(base, default_flow_style=True))
         assert load_config(f1).scene_hash == load_config(f2).scene_hash
 
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_loader_builds_the_same_scene(self, tmp_path, monkeypatch):
+        """libyaml's parser gives the dicts and scene hashes of the
+        pure-Python one, on the canonical scene and on 32 incidents."""
+        assert scene_mod._YAML_LOADER is yaml.CSafeLoader
+        phi, theta, x, y, z = np.random.default_rng(32).uniform(
+            [-1.2, 0.0, -0.5, -0.5, 1.2], [1.2, 2 * np.pi, 0.5, 0.5, 2.0], (32, 5)).T.tolist()
+        cfg = canonical_config(incidents=[
+            *({"type": "plane", "phi": phi[i], "theta": theta[i]} for i in range(24)),
+            *({"type": "point", "z": [x[i], y[i], z[i]]} for i in range(24, 32)),
+        ])
+        del cfg["incident"]
+        for path in (CANONICAL_YAML, Path(write_config(tmp_path, cfg))):
+            text = path.read_text()
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+            hashes = []
+            for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+                monkeypatch.setattr(scene_mod, "_YAML_LOADER", loader)
+                hashes.append(load_config(path).scene_hash)
+            assert hashes[0] == hashes[1]
+        assert len(load_config(path).incidents) == 32
+
     def test_point_source_must_be_above_surface(self):
         cfg = canonical_config(incident={"type": "point", "z": [0.0, 0.0, 0.1]})
         with pytest.raises(SceneConfigError, match="above the surface"):
@@ -280,6 +302,19 @@ class TestCli:
             assert run.returncode == code, (verb, run.stderr)
             assert run.stdout.splitlines()[-1] == "[]", verb
 
+    def test_dry_run_imports_no_numpy_ma(self, flat_config, tmp_path):
+        """Meshing finds the near pairs without np.unique, whose lazy import
+        of numpy.ma costs every run about 15 ms."""
+        src = str(Path(halfscat.__file__).resolve().parents[1])
+        probe = ("import sys; from halfscat.cli import main; code = main(sys.argv[1:]); "
+                 "print('numpy.ma' in sys.modules); sys.exit(code)")
+        run = subprocess.run(
+            [sys.executable, "-c", probe, "forward", "--config", flat_config, "--dry-run"],
+            env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "False"
+
     def test_dry_run_sizes_the_stored_system(self, tmp_path, capsys, monkeypatch):
         """A piecewise-linear scene keeps the dense system; the memory lines
         follow MemAvailable and are left out where it cannot be read."""
@@ -316,6 +351,19 @@ class TestCli:
         path.write_bytes(yaml.safe_dump(canonical_config()).encode() + b"# caf\xe9\n")
         assert main(["forward", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read config {path}: ")
+
+    def test_config_not_yaml_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("k: 2.0\nprofile: {kind: zero\n")
+        assert main(["forward", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and "not parseable YAML: " in err
+
+    def test_pure_python_yaml_loader_keeps_the_read_errors(self, tmp_path, capsys, monkeypatch):
+        """Where PyYAML has no libyaml, the same two inputs exit 2 the same way."""
+        monkeypatch.setattr(scene_mod, "_YAML_LOADER", yaml.SafeLoader)
+        self.test_config_not_utf8_exit_2(tmp_path, capsys)
+        self.test_config_not_yaml_exit_2(tmp_path, capsys)
 
     def test_out_is_a_file_exit_2(self, flat_config, tmp_path, capsys):
         out = tmp_path / "taken"

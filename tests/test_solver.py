@@ -180,9 +180,17 @@ def _onenormest(fact):
     return scipy.sparse.linalg.onenormest(inverse, t=1)
 
 
+def _cast_radial(radial):
+    """The real radial parts (pr, pi, cr, ci, ...) of ``_radial_pair`` as the
+    complex (phi, c, phi_img, c_img); phi is None where it is not formed."""
+    pr, pi, cr, ci, pr_img, pi_img, cr_img, ci_img = radial
+    phi, phi_img = (None, None) if pr is None else (pr + 1j * pi, pr_img + 1j * pi_img)
+    return phi, cr + 1j * ci, phi_img, cr_img + 1j * ci_img
+
+
 def _combined_cast(radial, d, nu_x, nu_y, k):
     """The sound-soft integrand with complex x real products."""
-    phi, c, phi_img, c_img = radial
+    phi, c, phi_img, c_img = _cast_radial(radial)
     d0, d1, d2, e2 = d
     planar = d0 * nu_y[0] + d1 * nu_y[1]
     dl = -c * (planar + d2 * nu_y[2]) + c_img * (planar - e2 * nu_y[2])
@@ -191,7 +199,7 @@ def _combined_cast(radial, d, nu_x, nu_y, k):
 
 def _adjoint_cast(radial, d, nu_x, nu_y, k):
     """The sound-hard integrand with complex x real products."""
-    _, c, _, c_img = radial
+    _, c, _, c_img = _cast_radial(radial)
     d0, d1, d2, e2 = d
     planar = d0 * nu_x[0] + d1 * nu_x[1]
     return c * (planar + d2 * nu_x[2]) + c_img * (planar + e2 * nu_x[2])
