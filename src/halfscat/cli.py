@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -25,7 +23,6 @@ from .lapack import pin_one_thread
 from .scene import build_scene, load_config
 from .solver import eval_farfields, export_density_csv, export_farfield_csv, solve_scattered
 from .suites import (
-    DEFAULT_TOLERANCES,
     refined_target_h,
     require_invertible,
     run_convergence,
@@ -34,8 +31,6 @@ from .suites import (
     run_invert,
     run_maxwell,
 )
-
-OUT_DIR_ENV = "HALFSCAT_OUT"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,29 +50,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scene config file (YAML)")
-        p.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV})")
+        p.add_argument("--out", type=Path, default=Path("halfscat_out"),
+                       help="output directory (default ./halfscat_out)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; every solve, BLAS included, runs "
                        "in one thread whatever OPENBLAS_NUM_THREADS says")
         p.add_argument("--dry-run", action="store_true", help="validate and print the plan only")
-        p.add_argument(
-            "--tolerance-scale",
-            type=float,
-            default=1.0,
-            help="multiply all suite tolerances (default 1)",
-        )
     return parser
-
-
-def _resolve_out_dir(args, cfg) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env)
-    if cfg.output_dir:
-        return Path(cfg.output_dir)
-    return Path("halfscat_out")
 
 
 def _print_results(results) -> bool:
@@ -136,9 +115,6 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
-    if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0):
-        print("error: --tolerance-scale must be finite and > 0", file=sys.stderr)
-        return 2
 
     try:
         cfg = load_config(args.config)
@@ -149,9 +125,6 @@ def main(argv=None) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = _resolve_out_dir(args, cfg)
-    tol = DEFAULT_TOLERANCES.scaled(args.tolerance_scale)
-
     try:
         scene = build_scene(cfg)
     except (SceneConfigError, ValueError) as exc:
@@ -161,10 +134,10 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         if args.dry_run:
-            _print_plan(args, scene, out_dir)
+            _print_plan(args, scene)
             return 0
-        out_dir.mkdir(parents=True, exist_ok=True)
-        ok = _dispatch(args.subcommand, scene, tol, out_dir)
+        args.out.mkdir(parents=True, exist_ok=True)
+        ok = _dispatch(args.subcommand, scene, args.out)
     except SceneConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
@@ -176,7 +149,7 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
-def _print_plan(args, scene, out_dir: Path) -> None:
+def _print_plan(args, scene) -> None:
     panels, sectors = _largest_system(args.subcommand, scene)
     system_mb = round(32 * panels**2 / sectors / 2**20, 1)
     available = _memory_available_mb()
@@ -202,36 +175,35 @@ def _print_plan(args, scene, out_dir: Path) -> None:
         "symmetry_sectors": sectors,
         **memory,
         "threads": args.threads,
-        "tolerance_scale": args.tolerance_scale,
-        "out_dir": str(out_dir),
+        "out_dir": str(args.out),
     }
     print("dry run; execution plan:")
     for key, val in plan.items():
         print(f"  {key}: {val}")
 
 
-def _dispatch(subcommand: str, scene, tol, out_dir: Path) -> bool:
+def _dispatch(subcommand: str, scene, out_dir: Path) -> bool:
     if subcommand == "forward":
         return _run_forward(scene, out_dir)
     if subcommand == "identities":
-        results, reports = run_identities(scene, tol)
+        results, reports = run_identities(scene)
         _write_jsonl(out_dir / "identities.jsonl", scene.scene_hash,
                      [r.record() for r in reports])
         return _print_results(results)
     if subcommand == "maxwell":
-        results = run_maxwell(scene, tol)
+        results = run_maxwell(scene)
         _write_jsonl(out_dir / "maxwell.jsonl", scene.scene_hash,
                      [{"name": r.name, "value": r.value, "passed": r.passed} for r in results])
         return _print_results(results)
     if subcommand == "indicator":
-        results, descend, offline = run_indicator(scene, tol)
+        results, descend, offline = run_indicator(scene)
         export_indicator_csv(descend, out_dir / "indicator_descend.csv",
                              scene_hash=scene.scene_hash)
         export_indicator_csv(offline, out_dir / "indicator_offline.csv",
                              scene_hash=scene.scene_hash)
         return _print_results(results)
     if subcommand == "invert":
-        results, recovered, report = run_invert(scene, tol)
+        results, recovered, report = run_invert(scene)
         export_inversion_trace_csv(report, out_dir / "inversion_trace.csv",
                                    scene_hash=scene.scene_hash)
         _write_json(out_dir / "inversion_result.json", scene.scene_hash, {
@@ -242,7 +214,7 @@ def _dispatch(subcommand: str, scene, tol, out_dir: Path) -> bool:
         })
         return _print_results(results)
     if subcommand == "convergence":
-        results = run_convergence(scene, tol)
+        results = run_convergence(scene)
         _write_json(out_dir / "convergence.json", scene.scene_hash, {
             "value": results[0].value,
             "passed": results[0].passed,

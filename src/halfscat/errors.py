@@ -6,7 +6,7 @@ class SceneConfigError(ValueError):
 
     def __init__(self, field: str, message: str):
         self.field = field
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"{field}: {message}" if field else message)
 
 
 class DippingProfileError(ValueError):

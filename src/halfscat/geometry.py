@@ -35,7 +35,6 @@ class SurfaceProfile:
     width: float = 0.0
     heights: np.ndarray | None = None
     node_xs: np.ndarray | None = None
-    allow_dip: bool = False
     max_slope: float = field(default=0.0, compare=False)
 
     @property
@@ -123,10 +122,9 @@ def validate_profile(spec) -> dict:
     ``spec`` keys: ``kind`` plus ``R`` (> 0); ``gaussian_bump`` takes
     ``amplitude`` and ``width`` (> 0); ``piecewise_linear`` takes ``heights``
     (square list/array of at least 3 x 3 numbers, the node heights on the
-    grid over ``[-R, R]^2``); both take ``allow_dip`` (true or false).
-    Returns the canonical description that the scene hash covers: ``R``,
-    ``amplitude`` and ``width`` as floats, ``heights`` as given,
-    ``allow_dip`` only when true.
+    grid over ``[-R, R]^2``).  Returns the canonical description that the
+    scene hash covers: ``R``, ``amplitude`` and ``width`` as floats,
+    ``heights`` as given.
     """
     where = "profile"
     spec = as_mapping(spec, where)
@@ -135,21 +133,16 @@ def validate_profile(spec) -> dict:
     if kind == "zero":
         check_keys(spec, {"kind", "R"}, where)
     elif kind == "gaussian_bump":
-        check_keys(spec, {"kind", "R", "amplitude", "width", "allow_dip"}, where)
+        check_keys(spec, {"kind", "R", "amplitude", "width"}, where)
         out["amplitude"] = as_float(require(spec, "amplitude", where), f"{where}.amplitude")
         out["width"] = as_float(require(spec, "width", where), f"{where}.width", positive=True)
     elif kind == "piecewise_linear":
-        check_keys(spec, {"kind", "R", "heights", "allow_dip"}, where)
+        check_keys(spec, {"kind", "R", "heights"}, where)
         out["heights"] = require(spec, "heights", where)
         _height_grid(out["heights"])
     else:
         kinds = " | ".join(PROFILE_KINDS)
         raise SceneConfigError(f"{where}.kind", f"expected {kinds}, got {kind!r}")
-    allow_dip = spec.get("allow_dip", False)
-    if not isinstance(allow_dip, bool):
-        raise SceneConfigError(f"{where}.allow_dip", f"expected true or false, got {allow_dip!r}")
-    if allow_dip:
-        out["allow_dip"] = True
     return out
 
 
@@ -179,29 +172,24 @@ def _height_grid(value) -> np.ndarray:
 
 def build_profile(spec: dict) -> SurfaceProfile:
     """Validate a profile description (``validate_profile``) and build the
-    height function.  ``allow_dip`` accepts negative heights, which every
-    solver path refuses.
+    height function.  A negative height, which no solver path accepts, is a
+    ``DippingProfileError``.
     """
     spec = validate_profile(spec)
     kind, R = spec["kind"], spec["R"]
-    allow_dip = spec.get("allow_dip", False)
 
     if kind == "zero":
         return SurfaceProfile(kind="zero", support_radius=R, max_slope=0.0)
 
     if kind == "gaussian_bump":
         a, sigma = spec["amplitude"], spec["width"]
-        if a < 0 and not allow_dip:
-            raise DippingProfileError(
-                "gaussian_bump amplitude < 0 dips below the ground plane; "
-                "set allow_dip to construct it anyway (solvers will refuse it)"
-            )
+        if a < 0:
+            raise DippingProfileError("gaussian_bump amplitude < 0 dips below the ground plane")
         return SurfaceProfile(
             kind="gaussian_bump",
             support_radius=R,
             amplitude=a,
             width=sigma,
-            allow_dip=allow_dip,
             max_slope=_gaussian_max_slope(a, sigma, R),
         )
 
@@ -212,11 +200,8 @@ def build_profile(spec: dict) -> SurfaceProfile:
     boundary = np.concatenate([heights[0], heights[-1], heights[:, 0], heights[:, -1]])
     if np.any(boundary != 0.0):
         raise SceneConfigError("profile.heights", "boundary-ring heights must all be zero")
-    if np.any(heights < 0) and not allow_dip:
-        raise DippingProfileError(
-            "negative node heights dip below the ground plane; "
-            "set allow_dip to construct the profile anyway (solvers will refuse it)"
-        )
+    if np.any(heights < 0):
+        raise DippingProfileError("negative node heights dip below the ground plane")
     node_xs = np.linspace(-R, R, m)
     # compact support: a nonzero node whose support cells touch |x~| >= R would
     # push f outside the disc, so keep nonzero nodes a cell diagonal inside
@@ -238,7 +223,6 @@ def build_profile(spec: dict) -> SurfaceProfile:
         support_radius=R,
         heights=heights,
         node_xs=node_xs,
-        allow_dip=allow_dip,
         max_slope=_pl_max_slope(node_xs, heights),
     )
 
@@ -414,11 +398,6 @@ def mesh_perturbation(profile: SurfaceProfile, target_h: float) -> PanelMesh:
     exactly; all normals point up into the propagation domain."""
     R = profile.support_radius
     n = ring_count(R, target_h)
-    if profile.allow_dip:
-        raise DippingProfileError(
-            "profile was built with allow_dip; the image-kernel solver paths "
-            "are invalid for dipping perturbations and refuse to mesh them"
-        )
     # the union-jack grid of a piecewise-linear profile is not C6-invariant
     sectors = 1 if profile.kind == "piecewise_linear" else 6
     topo = ring_topology(n, sectors)
@@ -426,6 +405,11 @@ def mesh_perturbation(profile: SurfaceProfile, target_h: float) -> PanelMesh:
     verts2d = topo.planar * R
     z = profile.height(verts2d)
     z[1 + 3 * n * (n - 1):] = 0.0  # rim ring: exactly on the ground plane
+    if np.any(z < 0):
+        raise DippingProfileError(
+            "the surface dips below the ground plane; the image-kernel solver "
+            "paths are invalid there and refuse to mesh it"
+        )
     vertices = np.column_stack([verts2d, z])
 
     p = vertices[tris]

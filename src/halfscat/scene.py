@@ -4,8 +4,7 @@ A scene file is a single YAML document.  Unknown keys are rejected with the
 offending field path so tolerance-name typos cannot silently pass.  The field
 checks live in ``util`` and the profile schema in ``geometry.validate_profile``,
 which ``build_profile`` applies again.  The scene hash covers every validated
-field except the output directory, so editing any physics-relevant value
-changes the hash embedded in artifacts.
+field, so editing any value changes the hash embedded in artifacts.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ _TOP_KEYS = {
     "incident",
     "incidents",
     "farfield_grid",
-    "output_dir",
     "invert",
 }
 
@@ -47,7 +45,6 @@ class SceneConfig:
     mesh: dict
     incidents: tuple[dict, ...]
     farfield_grid: dict
-    output_dir: str | None
     invert: dict
     scene_hash: str = field(compare=False, default="")
 
@@ -107,10 +104,6 @@ def validate_config(raw: dict) -> SceneConfig:
         for name in ("n_theta", "n_phi")
     }
 
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise SceneConfigError("output_dir", "expected a string path")
-
     invert = _section(raw, "invert", {"init", "data_target_h", "noise_level"})
     init = invert.get("init", [0.15, 0.4])
     if not isinstance(init, (list, tuple)) or len(init) != 2:
@@ -132,11 +125,10 @@ def validate_config(raw: dict) -> SceneConfig:
         mesh=mesh,
         incidents=incidents,
         farfield_grid=grid,
-        output_dir=output_dir,
         invert=invert,
     )
     hashed = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    del hashed["output_dir"], hashed["scene_hash"]
+    del hashed["scene_hash"]
     return replace(cfg, scene_hash=content_hash(hashed))
 
 

@@ -321,13 +321,15 @@ def _assemble_blocks(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> np.nda
             np.multiply(vals, mesh.areas[cols[j]], out=B[s, i, j])
 
     corners = np.ascontiguousarray(mesh.panel_vertices().transpose(1, 2, 0))
+    near_rows, near_cols = topo.near_pairs.T
+    # elementwise, so one call on every near pair gives each chunk's points
+    near_sing = _closest_points_on_triangles(cents[:, near_rows], *corners[:, :, near_cols])
     chunk = max(1, _ROW_BLOCK * _ROW_BLOCK // GRADED_LEAVES)
     for piece in even_slices(len(topo.near_pairs), chunk):
-        rows, cols = topo.near_pairs[piece].T
+        rows, cols = near_rows[piece], near_cols[piece]
         x = cents[:, rows]
         tri = corners[:, :, cols]
-        p_sing = _closest_points_on_triangles(x, tri[0], tri[1], tri[2])
-        leaf_cents, leaf_areas = _graded_leaves(tri, p_sing)
+        leaf_cents, leaf_areas = _graded_leaves(tri, near_sing[:, piece])
         vals = collocation(
             bc, x[:, :, None], normals[:, rows, None], leaf_cents, normals[:, cols, None], k
         )

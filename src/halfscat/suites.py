@@ -2,14 +2,13 @@
 
 Every suite is deterministic for a fixed scene hash: sample points come from
 the scene seed, solves on one mesh share its cached factorization, and every
-solve runs in turn in the calling thread.  Tolerances live in one table; a
-scale factor loosens every bound coherently (upper bounds and window
-half-widths multiply, lower-bound ratios divide, window centres stay).
+solve runs in turn in the calling thread.  Tolerances live in one table,
+``TOLERANCES``, which each suite reads when it is called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,44 +44,25 @@ from .maxwell import (
 from .solver import solve_scattered, eval_farfield
 
 
-# How ``SuiteTolerances.scaled`` treats a field, read from its metadata; a
-# field without the key is an upper bound or a window half-width.
-_LOWER_BOUND = {"scale": "divide"}
-_UNSCALED = {"scale": "keep"}
-
-
 @dataclass(frozen=True)
 class SuiteTolerances:
     mixed_reciprocity: float = 2e-2
     point_symmetry: float = 2e-2
     reflected_farfield: float = 1e-12
     extension: float = 1e-12
-    decay_slope_center: float = field(default=-2.0, metadata=_UNSCALED)
+    decay_slope_center: float = -2.0
     decay_slope_halfwidth: float = 0.2
     pec: float = 1e-12
     reflection: float = 1e-12
     maxwell_fd: float = 1e-5
     sm_slope_margin: float = 0.2  # residual slope <= -1 + margin
-    indicator_ratio: float = field(default=10.0, metadata=_LOWER_BOUND)
+    indicator_ratio: float = 10.0
     offline_ratio: float = 2.0
     invert_param_rel: float = 0.05
     convergence: float = 5e-2
 
-    def scaled(self, factor: float) -> "SuiteTolerances":
-        if factor == 1.0:
-            return self
-        changes = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            rule = f.metadata.get("scale", "multiply")
-            if rule == "multiply":
-                changes[f.name] = value * factor
-            elif rule == "divide":
-                changes[f.name] = value / factor
-        return replace(self, **changes)
 
-
-DEFAULT_TOLERANCES = SuiteTolerances()
+TOLERANCES = SuiteTolerances()
 
 # the electric dipole of the Maxwell suite: position above the plane, polarization
 DIPOLE_POSITION = (0.2, -0.1, 0.8)
@@ -209,7 +189,7 @@ def extension_samples(scene):
 # ---------------------------------------------------------------------------
 # suites
 
-def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
+def run_identities(scene):
     """Full identity suite on one scene; returns CheckResults plus the raw
     identity and slope reports.  The h/2 check runs after every solve on the
     scene mesh, so the one cached factorization serves each mesh in turn; its
@@ -222,13 +202,13 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     for i, rep in enumerate(mixed):
         reports.append(rep)
         results.append(at_most(f"mixed_reciprocity[{i}]", rep.rel_err,
-                               tol.mixed_reciprocity, "rel_err <= {:g}"))
+                               TOLERANCES.mixed_reciprocity, "rel_err <= {:g}"))
 
     sym = [check_point_symmetry(scene, x, y) for x, y in symmetry_pairs(scene)]
     for i, rep in enumerate(sym):
         reports.append(rep)
         results.append(at_most(f"point_symmetry[{i}]", rep.rel_err,
-                               tol.point_symmetry, "rel_err <= {:g}"))
+                               TOLERANCES.point_symmetry, "rel_err <= {:g}"))
 
     worst = 0.0
     for bc in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
@@ -237,17 +217,17 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
             worst = max(worst, rep.rel_err)
     reports.append(IdentityReport(name="reflected_farfield_worst", lhs=0.0, rhs=0.0,
                                   abs_err=worst, rel_err=worst))
-    results.append(at_most("reflected_farfield", worst, tol.reflected_farfield,
+    results.append(at_most("reflected_farfield", worst, TOLERANCES.reflected_farfield,
                            "rel_err <= {:g} on 100 triples, both bcs"))
 
     density, _ = solve_scattered(scene.mesh, scene.incidents[0])
     ext = check_extension(density, scene.mesh, extension_samples(scene))
     reports.append(ext)
-    results.append(at_most("extension", ext.abs_err, tol.extension,
+    results.append(at_most("extension", ext.abs_err, TOLERANCES.extension,
                            "max mirrored residual <= {:g}"))
 
-    lo = tol.decay_slope_center - tol.decay_slope_halfwidth
-    hi = tol.decay_slope_center + tol.decay_slope_halfwidth
+    lo = TOLERANCES.decay_slope_center - TOLERANCES.decay_slope_halfwidth
+    hi = TOLERANCES.decay_slope_center + TOLERANCES.decay_slope_halfwidth
     decay = check_radiation_decay(density, scene.mesh, np.array([0.0, 0.0, 1.0]))
     reports.append(decay)
     check = within("radiation_decay", decay.slope, lo, hi)
@@ -266,7 +246,7 @@ def run_identities(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     return results, reports
 
 
-def run_maxwell(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
+def run_maxwell(scene):
     """Electromagnetic image-field suite: PEC condition, reflection principle,
     finite-difference Maxwell and divergence residuals, Silver-Mueller decay."""
     src = DipoleSource(y=DIPOLE_POSITION, p=DIPOLE_POLARIZATION, k=scene.k)
@@ -277,7 +257,7 @@ def run_maxwell(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     rad = 3.0 * np.sqrt(rng.uniform(0, 1, size=200))
     plane_pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), np.zeros(200)])
     pec = pec_residual(src, GROUND_PLANE, plane_pts)
-    results.append(at_most("pec_tangential", pec, tol.pec,
+    results.append(at_most("pec_tangential", pec, TOLERANCES.pec,
                            "relative tangential residual <= {:g} at 200 plane samples"))
 
     box = rng.normal(size=(100, 3))
@@ -286,7 +266,7 @@ def run_maxwell(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     keep &= np.linalg.norm(box - src.y * MIRROR, axis=1) > 0.2
     rep = check_reflection_principle(src, GROUND_PLANE, box[keep])
     res_rel = max(rep.max_E_residual, rep.max_H_residual) / rep.field_scale
-    results.append(at_most("reflection_principle", res_rel, tol.reflection,
+    results.append(at_most("reflection_principle", res_rel, TOLERANCES.reflection,
                            "E and H reflection residuals <= {:g} relative"))
 
     worst_fd = worst_div = 0.0
@@ -310,18 +290,19 @@ def run_maxwell(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
             abs(fd_divergence(E_tot, x, src.k)) / scale,
             abs(fd_divergence(H_tot, x, src.k)) / scale,
         )
-    results.append(at_most("maxwell_fd_residual", worst_fd, tol.maxwell_fd,
+    results.append(at_most("maxwell_fd_residual", worst_fd, TOLERANCES.maxwell_fd,
                            "curl-system FD residual <= {:g}"))
-    results.append(at_most("divergence_fd_residual", worst_div, tol.maxwell_fd,
+    results.append(at_most("divergence_fd_residual", worst_div, TOLERANCES.maxwell_fd,
                            "divergence FD residual <= {:g}"))
 
     sm = check_silver_muller(src, GROUND_PLANE, np.array([0.0, 0.0, 1.0]))
-    results.append(at_most("silver_muller_slope", sm.slope_residual, -1.0 + tol.sm_slope_margin,
+    results.append(at_most("silver_muller_slope", sm.slope_residual,
+                           -1.0 + TOLERANCES.sm_slope_margin,
                            "|H x x - r E| log-log slope <= {:g}"))
     return results
 
 
-def run_indicator(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
+def run_indicator(scene):
     """Blow-up indicator on a descending line over the apex and a reference
     line far from the perturbation."""
     n = INDICATOR_SAMPLES
@@ -343,9 +324,9 @@ def run_indicator(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
             requirement="I strictly increasing over the last 5 descent samples",
         ),
         at_least("indicator_blowup_ratio", ind_d.values[-1] / ind_d.values[0],
-                 tol.indicator_ratio, "I(closest)/I(farthest) >= {:g}"),
+                 TOLERANCES.indicator_ratio, "I(closest)/I(farthest) >= {:g}"),
         at_most("indicator_off_perturbation", ind_o.values[-1] / ind_o.values[0],
-                tol.offline_ratio, "off-perturbation ratio <= {:g}"),
+                TOLERANCES.offline_ratio, "off-perturbation ratio <= {:g}"),
     ], ind_d, ind_o
 
 
@@ -373,7 +354,7 @@ def synthesize_invert_data(scene):
     return truth, clean + noise
 
 
-def run_invert(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
+def run_invert(scene):
     """Recover the bump parameters from the synthetic data; passes when every
     parameter lands within the relative tolerance of the truth."""
     cfg = scene.config.invert
@@ -383,11 +364,11 @@ def run_invert(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
                               data_target_h=cfg["data_target_h"])
     recovered, report = invert_profile(data, list(scene.incidents), scene.grid, inv_cfg, init)
     rel = np.abs(recovered.values - truth.values) / np.abs(truth.values)
-    return [at_most("invert_parameter_error", np.max(rel), tol.invert_param_rel,
+    return [at_most("invert_parameter_error", np.max(rel), TOLERANCES.invert_param_rel,
                     "per-parameter relative error <= {:g}")], recovered, report
 
 
-def run_convergence(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
+def run_convergence(scene):
     """Far-field max-norm self-convergence between h and h/2."""
     inc = scene.incidents[0]
     coarse, _ = solve_scattered(scene.mesh, inc)
@@ -398,5 +379,5 @@ def run_convergence(scene, tol: SuiteTolerances = DEFAULT_TOLERANCES):
     gap = float(np.max(np.abs(f_coarse - f_fine)))
     denom = float(np.max(np.abs(f_fine)))
     rel = gap / denom if denom > 0 else (0.0 if gap == 0 else np.inf)
-    return [at_most("farfield_self_convergence", rel, tol.convergence,
+    return [at_most("farfield_self_convergence", rel, TOLERANCES.convergence,
                     "max-norm relative difference h vs h/2 <= {:g}")]

@@ -8,6 +8,7 @@ from halfscat.errors import DippingProfileError, SceneConfigError
 from halfscat.geometry import (
     GROUND_PLANE,
     Plane,
+    SurfaceProfile,
     build_profile,
     export_mesh_csv,
     mesh_perturbation,
@@ -99,14 +100,16 @@ class TestBuildProfile:
         with pytest.raises(SceneConfigError, match=f"profile.{field}"):
             build_profile(spec)
 
-    def test_dip_rejected_unless_allowed(self):
+    def test_dip_rejected(self):
         spec = {"kind": "gaussian_bump", "R": 1.0, "amplitude": -0.2, "width": 0.25}
         with pytest.raises(DippingProfileError):
             build_profile(spec)
+        heights = np.array(pyramid_heights())
+        heights[4, 4] = -0.1
         with pytest.raises(DippingProfileError):
-            build_profile({**spec, "allow_dip": False})
-        prof = build_profile({**spec, "allow_dip": True})
-        assert prof.allow_dip
+            build_profile({"kind": "piecewise_linear", "R": 1.0, "heights": heights.tolist()})
+        with pytest.raises(SceneConfigError, match="profile.allow_dip: unknown key"):
+            build_profile({**spec, "allow_dip": True})
 
     def test_nonzero_node_too_close_to_rim(self):
         heights = np.zeros((9, 9))
@@ -172,12 +175,20 @@ class TestMesh:
             mesh_perturbation(prof, 0.3)  # > R/4
         with pytest.raises(ValueError, match="target_h"):
             mesh_perturbation(prof, 0.0)
-        dipped = build_profile(
-            {"kind": "gaussian_bump", "R": 1.0, "amplitude": -0.2, "width": 0.25,
-             "allow_dip": True}
-        )
-        with pytest.raises(DippingProfileError):
-            mesh_perturbation(dipped, 0.1)
+
+    def test_dipping_profile_not_meshed(self):
+        """A profile built without ``build_profile`` is checked where it is
+        meshed: no vertex may lie below the ground plane."""
+        heights = np.zeros((9, 9))
+        heights[4, 4] = -0.1
+        dipped = [
+            SurfaceProfile(kind="gaussian_bump", support_radius=1.0, amplitude=-0.2, width=0.25),
+            SurfaceProfile(kind="piecewise_linear", support_radius=1.0, heights=heights,
+                           node_xs=np.linspace(-1.0, 1.0, 9)),
+        ]
+        for prof in dipped:
+            with pytest.raises(DippingProfileError):
+                mesh_perturbation(prof, 0.1)
 
     def test_ring_count_identifies_grid(self):
         flat = build_profile({"kind": "zero", "R": 1.0})

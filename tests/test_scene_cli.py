@@ -27,7 +27,7 @@ from halfscat.incident import PlaneWave, PointSource
 from halfscat.kernels import farfield_matrix
 from halfscat.scene import build_scene, load_config, validate_config
 from halfscat.solver import eval_farfield, solve_scattered
-from halfscat.suites import DEFAULT_TOLERANCES, at_least, at_most, refine_scene, within
+from halfscat.suites import at_least, at_most, refine_scene, within
 
 
 BUMP = {"kind": "gaussian_bump", "R": 1.0, "amplitude": 0.3, "width": 0.25}
@@ -82,9 +82,6 @@ class TestConfigValidation:
         assert h1 == h2
         h3 = validate_config(canonical_config(k=2.5)).scene_hash
         assert h3 != h1
-        # output location is not scene content
-        h4 = validate_config(canonical_config(output_dir="elsewhere")).scene_hash
-        assert h4 == h1
 
     @pytest.mark.parametrize(
         "profile, expected",
@@ -357,7 +354,11 @@ class TestCli:
         path.write_text("k: 2.0\nprofile: {kind: zero\n")
         assert main(["forward", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid config: ") and "not parseable YAML: " in err
+        assert err.startswith("error: invalid config: not parseable YAML: ")
+        assert ": :" not in err
+        path.write_text("- k\n- bc\n")
+        assert main(["forward", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: invalid config: config root must be a mapping\n"
 
     def test_pure_python_yaml_loader_keeps_the_read_errors(self, tmp_path, capsys, monkeypatch):
         """Where PyYAML has no libyaml, the same two inputs exit 2 the same way."""
@@ -408,18 +409,12 @@ class TestCli:
                      "--threads", "3"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
-    def test_tolerance_scale_loosens_indicator(self, tmp_path, capsys):
-        # at target_h = 0.1 the blow-up ratio is ~8.2: below the default 10,
-        # inside the bound once the tolerances are scaled by 1.3
+    def test_indicator_breach_exits_1(self, tmp_path, capsys):
+        # at target_h = 0.1 the blow-up ratio is ~8.2, below the bound 10
         cfg = write_config(tmp_path, canonical_config(mesh={"target_h": 0.1}))
         code = main(["indicator", "--config", cfg, "--out", str(tmp_path / "i1")])
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
-        code = main(["indicator", "--config", cfg, "--out", str(tmp_path / "i2"),
-                     "--tolerance-scale", "1.3"])
-        assert code == 0
-        header = (tmp_path / "i2" / "indicator_descend.csv").read_text().splitlines()[0]
-        assert header.startswith("# scene=")
+        assert "[FAIL] indicator_blowup_ratio: " in capsys.readouterr().out
 
     def test_invert_refuses_matching_meshes(self, tmp_path, capsys):
         cfg = canonical_config(mesh={"target_h": 0.125})
@@ -551,16 +546,18 @@ class TestCli:
         assert all(json.loads(line)["passed"] for line in lines)
 
     def test_out_dir_resolution(self, flat_config, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HALFSCAT_OUT", str(tmp_path / "env_out"))
+        monkeypatch.chdir(tmp_path)
         assert main(["maxwell", "--config", flat_config]) == 0
-        assert (tmp_path / "env_out" / "maxwell.jsonl").exists()
-        # explicit flag wins over the environment
-        assert main(["maxwell", "--config", flat_config, "--out", str(tmp_path / "flag")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["halfscat_out", "scene.yaml"]
+        assert (tmp_path / "halfscat_out" / "maxwell.jsonl").exists()
+        assert main(["maxwell", "--config", flat_config, "--out", "flag"]) == 0
         assert (tmp_path / "flag" / "maxwell.jsonl").exists()
 
-    def test_tolerance_breach_prints_the_compared_bound(self, tmp_path, capsys):
-        code = main(["maxwell", "--config", str(CANONICAL_YAML), "--out", str(tmp_path / "mx"),
-                     "--tolerance-scale", "1e-9"])
+    def test_tolerance_breach_prints_the_compared_bound(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(suites_mod, "TOLERANCES", dataclasses.replace(
+            suites_mod.TOLERANCES, pec=1e-21, reflection=1e-21, maxwell_fd=1e-14,
+            sm_slope_margin=2e-10))
+        code = main(["maxwell", "--config", str(CANONICAL_YAML), "--out", str(tmp_path / "mx")])
         assert code == 1
         lines = [re.fullmatch(r"\[(PASS|FAIL)\] \w+: (\S+) \((.*)\)", line)
                  for line in capsys.readouterr().out.splitlines()[:-1]]
@@ -577,8 +574,23 @@ class TestCli:
 
     def test_bad_flags(self, flat_config, capsys):
         assert main(["maxwell", "--config", flat_config, "--threads", "0"]) == 2
-        for scale in ("0", "inf", "nan"):
-            assert main(["maxwell", "--config", flat_config, "--tolerance-scale", scale]) == 2
+        # the suite bounds are fixed: no option scales them
+        with pytest.raises(SystemExit) as exc:
+            main(["maxwell", "--config", flat_config, "--tolerance-scale", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance-scale" in capsys.readouterr().err
+
+    def test_removed_scene_keys_exit_2(self, tmp_path, capsys):
+        """The output directory and a dipping profile are not scene settings:
+        a file that sets either is refused with the field named."""
+        removed = [
+            (canonical_config(output_dir="elsewhere"), "output_dir"),
+            (canonical_config(profile={**BUMP, "allow_dip": True}), "profile.allow_dip"),
+        ]
+        for cfg, field in removed:
+            path = write_config(tmp_path, cfg, name="removed.yaml")
+            assert main(["forward", "--config", path, "--dry-run"]) == 2
+            assert capsys.readouterr().err == f"error: invalid config: {field}: unknown key\n"
 
     def test_blas_environment_leaves_output_bytes(self, tmp_path):
         """OPENBLAS_NUM_THREADS sizes the pool numpy loads, which runs the
@@ -671,26 +683,6 @@ def _blas_thread_controls():
 
 
 class TestSuiteHelpers:
-    def test_tolerances_scaled_field_by_field(self):
-        expected = {
-            "mixed_reciprocity": 4e-2,
-            "point_symmetry": 4e-2,
-            "reflected_farfield": 2e-12,
-            "extension": 2e-12,
-            "decay_slope_center": -2.0,
-            "decay_slope_halfwidth": 0.4,
-            "pec": 2e-12,
-            "reflection": 2e-12,
-            "maxwell_fd": 2e-5,
-            "sm_slope_margin": 0.4,
-            "indicator_ratio": 5.0,
-            "offline_ratio": 4.0,
-            "invert_param_rel": 0.1,
-            "convergence": 0.1,
-        }
-        assert dataclasses.asdict(DEFAULT_TOLERANCES.scaled(2.0)) == expected
-        assert DEFAULT_TOLERANCES.scaled(1.0) is DEFAULT_TOLERANCES
-
     def test_check_helpers_print_the_compared_bound(self):
         nan = float("nan")
         for helper, template in ((at_most, "x <= {:g} here"), (at_least, "x >= {:.3e}")):
