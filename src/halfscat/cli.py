@@ -3,8 +3,8 @@
 Subcommands: forward, identities, maxwell, indicator, invert, convergence.
 Exit status is 0 only when every tolerance of the requested suite is met and
 1 when one is breached; validation problems exit with status 2 and a
-field-level message, as do a config that cannot be read and an output
-directory that cannot be written.
+field-level message, as do a config that cannot be read, an output
+directory that cannot be written and a run that runs out of memory.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .suites import (
     run_invert,
     run_maxwell,
 )
+from .util import memory_budget_mb
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,21 +98,19 @@ def _largest_system(subcommand: str, scene) -> tuple[int, int]:
     return panels, scene.mesh.sectors
 
 
-def _memory_available_mb() -> float | None:
-    """MemAvailable from /proc/meminfo in MiB, or None where it cannot be read."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) / 2**10
-    except (OSError, ValueError, IndexError):
-        pass
-    return None
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     pin_one_thread()
+    try:
+        return _run(args)
+    except MemoryError as exc:
+        budget = memory_budget_mb()
+        limit = "" if budget is None else f"; {budget[1]} leaves {budget[0]:.1f} MiB"
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}{limit}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
@@ -152,10 +151,11 @@ def main(argv=None) -> int:
 def _print_plan(args, scene) -> None:
     panels, sectors = _largest_system(args.subcommand, scene)
     system_mb = round(32 * panels**2 / sectors / 2**20, 1)
-    available = _memory_available_mb()
-    memory = {} if available is None else {
-        "memory_available_mb": round(available, 1),
-        "system_fits_in_memory": str(system_mb <= available).lower(),
+    budget = memory_budget_mb()
+    memory = {} if budget is None else {
+        "memory_budget_mb": round(budget[0], 1),
+        "memory_bound": budget[1],
+        "system_fits_in_memory": str(system_mb <= budget[0]).lower(),
     }
     plan = {
         "subcommand": args.subcommand,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,15 +23,16 @@ from .errors import ProximityError, ResonanceError, SolveError
 from .geometry import PanelMesh
 from .incident import IncidentWave, PointSource, eval_pair, grad_pair
 from .kernels import (
-    MIRROR,
     BoundaryCondition,
     GreenKernel,
+    _displacements,
+    _lengths,
     collocation,
     collocation_tiles,
     farfield_matrix,
     representation,
 )
-from .util import even_slices, scene_comment, write_table
+from .util import even_slices, scene_comment, text_column, write_table
 
 SOLVE_RESIDUAL_RTOL = 1e-10
 CONDITION_LIMIT = 1e8
@@ -112,6 +114,12 @@ class DirectionGrid:
     @property
     def size(self) -> int:
         return self.directions.shape[0]
+
+    @cached_property
+    def text_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """theta and phi formatted once (``text_column``), for every far-field
+        table written on this grid."""
+        return text_column(self.theta), text_column(self.phi)
 
 
 @dataclass(frozen=True)
@@ -492,20 +500,30 @@ def _check_density_matches(density: LayerDensity, mesh: PanelMesh) -> None:
         )
 
 
-def _check_eval_distance(mesh: PanelMesh, pts: np.ndarray) -> None:
-    d_direct = np.linalg.norm(pts[:, None, :] - mesh.centroids[None, :, :], axis=-1)
-    d_image = np.linalg.norm(pts[:, None, :] - (mesh.centroids * MIRROR)[None, :, :], axis=-1)
-    dist = min(d_direct.min(initial=np.inf), d_image.min(initial=np.inf))
-    if dist < 2.0 * mesh.h:
-        raise ProximityError(
-            f"evaluation point at distance {dist:.3g} from the surface or its "
-            f"image; the one-point representation quadrature needs 2h = {2 * mesh.h:.3g}"
-        )
+def _eval_pieces(mesh: PanelMesh, count: int) -> list[slice]:
+    """``even_slices`` of ``count`` points or directions whose pieces hold at
+    most _ROW_BLOCK**2 point-panel pairs, the entry budget of assembly's
+    tiles and near chunks, so an evaluator's temporaries do not grow with
+    the point count."""
+    return even_slices(count, max(1, _ROW_BLOCK**2 // mesh.n_panels))
+
+
+def _eval_distance(mesh: PanelMesh, pts: np.ndarray, pieces: list[slice]) -> float:
+    """Distance from the points to the nearest panel centroid or mirror image
+    of one, |x - y| and |x - y'| as the kernels form them (``_lengths``),
+    which is np.linalg.norm's bit for bit."""
+    cents = mesh.centroids.T[:, None, :]
+    nearest = np.inf
+    for piece in pieces:
+        for r in _lengths(_displacements(pts[piece].T[:, :, None], cents)):
+            nearest = min(nearest, r.min(initial=np.inf))
+    return float(nearest)
 
 
 def eval_scattered(density: LayerDensity, mesh: PanelMesh, x: np.ndarray) -> np.ndarray:
     """Evaluate the layer-potential representation at points x (off-surface);
-    the density carries k and the formulation.
+    the density carries k and the formulation.  The points are taken in
+    pieces of at most _ROW_BLOCK**2 point-panel pairs (``_eval_pieces``).
 
     The kernel is defined on both sides of the ground plane, so mirrored
     evaluation points are legitimate; they are what the extension checks use.
@@ -518,10 +536,19 @@ def eval_scattered(density: LayerDensity, mesh: PanelMesh, x: np.ndarray) -> np.
     pts = x.reshape(-1, 3)
     if not np.isfinite(pts).all():
         raise ValueError("evaluation points must be finite")
-    _check_eval_distance(mesh, pts)
-    vals = representation(density.bc, pts[:, None, :], mesh.centroids[None, :, :],
-                          mesh.normals[None, :, :], density.k)
-    out = (vals * mesh.areas) @ density.coefficients
+    pieces = _eval_pieces(mesh, len(pts))
+    dist = _eval_distance(mesh, pts, pieces)
+    if dist < 2.0 * mesh.h:
+        raise ProximityError(
+            f"evaluation point at distance {dist:.3g} from the surface or its "
+            f"image; the one-point representation quadrature needs 2h = {2 * mesh.h:.3g}"
+        )
+    out = np.empty(len(pts), dtype=complex)
+    for piece in pieces:
+        vals = representation(density.bc, pts[piece, None, :], mesh.centroids[None, :, :],
+                              mesh.normals[None, :, :], density.k)
+        vals *= mesh.areas
+        out[piece] = vals @ density.coefficients
     return out[0] if single else out
 
 
@@ -533,8 +560,9 @@ def eval_farfields(
     """Far-field patterns of several densities on one mesh and grid.
 
     The far-field operator depends only on the mesh, k, the boundary
-    condition and the grid, so it is built once, _ROW_BLOCK directions at a
-    time, and each block is applied to all densities in one product."""
+    condition and the grid, so it is built once, in pieces of at most
+    _ROW_BLOCK**2 direction-panel pairs (``_eval_pieces``), and each piece is
+    applied to all densities in one product."""
     if not densities:
         raise ValueError("eval_farfields needs at least one density")
     for density in densities:
@@ -549,10 +577,9 @@ def eval_farfields(
     sigma = np.column_stack([d.coefficients for d in densities])
     dirs = grid.directions
     values = np.empty((len(densities), grid.size), dtype=complex)
-    for lo in range(0, grid.size, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, grid.size)
-        F = farfield_matrix(kern, dirs[lo:hi], mesh.centroids, mesh.areas, normals)
-        values[:, lo:hi] = (F @ sigma).T
+    for piece in _eval_pieces(mesh, grid.size):
+        F = farfield_matrix(kern, dirs[piece], mesh.centroids, mesh.areas, normals)
+        values[:, piece] = (F @ sigma).T
     values.setflags(write=False)
     return [FarFieldPattern(grid=grid, values=row, k=first.k, bc=first.bc, mesh_h=mesh.h)
             for row in values]
@@ -570,7 +597,7 @@ def export_farfield_csv(pattern: FarFieldPattern, path, scene_hash: str = "") ->
         f"k={pattern.k:.17g} bc={pattern.bc.value} mesh_h={pattern.mesh_h:.17g} "
         f"scene={scene_hash}",
         ["theta", "phi", "re", "im"],
-        [pattern.grid.theta, pattern.grid.phi, pattern.values.real, pattern.values.imag],
+        [*pattern.grid.text_columns, pattern.values.real, pattern.values.imag],
     )
 
 

@@ -1,5 +1,6 @@
 """Small shared helpers: config field checks, canonical JSON, content hashing,
-the CSV table writer and the even cut of an index range into pieces."""
+the CSV table writer, the even cut of an index range into pieces and the
+memory budget of the process."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import hashlib
 import itertools
 import json
 import math
+import resource
+from pathlib import Path
 
 import numpy as np
 
@@ -86,15 +89,30 @@ def write_table(path, comment: str | None, header: list[str], columns) -> None:
     """The one CSV artifact format: an optional ``# comment`` line ending in
     ``\\n``, then the header and one row per entry of the equal-length
     ``columns``, each ending in ``\\r\\n``.  Integer columns print as
-    integers, every other column with ``%.17g``."""
+    integers, text columns (``text_column``) as they are, every other
+    column with ``%.17g``."""
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns)
+    row = ",".join(_row_format(c) for c in columns)
     values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\r\n")
         fh.write((row + "\r\n") * len(columns[0]) % values)
+
+
+def _row_format(column: np.ndarray) -> str:
+    if np.issubdtype(column.dtype, np.integer):
+        return "%d"
+    return "%s" if column.dtype.kind == "U" else "%.17g"
+
+
+def text_column(values) -> np.ndarray:
+    """A float column formatted once as ``write_table`` formats it, read-only,
+    for a column that several tables share: each table then copies the text."""
+    col = np.array(["%.17g" % v for v in np.asarray(values, dtype=float).tolist()])
+    col.setflags(write=False)
+    return col
 
 
 def even_slices(n: int, budget: int) -> list[slice]:
@@ -104,3 +122,53 @@ def even_slices(n: int, budget: int) -> list[slice]:
     pieces = max(1, -(-n // budget))
     bounds = [p * n // pieces for p in range(pieces + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _proc_kib(path: str, key: str) -> float | None:
+    """The value of the ``key:`` line of a /proc file in KiB, or None."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith(key + ":"):
+                    return float(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _cgroup_headroom_bytes() -> int | None:
+    """memory.max less memory.current of this process's cgroup v2, or None
+    where there is no such cgroup or its memory is unlimited."""
+    try:
+        with open("/proc/self/cgroup", encoding="ascii") as fh:
+            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        group = Path("/sys/fs/cgroup") / path.lstrip("/")
+        limit = (group / "memory.max").read_text(encoding="ascii").strip()
+        if limit == "max":
+            return None
+        return int(limit) - int((group / "memory.current").read_text(encoding="ascii"))
+    except (OSError, ValueError, StopIteration):
+        return None
+
+
+def memory_budget_mb() -> tuple[float, str] | None:
+    """What this process can still allocate, in MiB, and the bound that sets
+    it: the smallest of MemAvailable, the headroom under the RLIMIT_AS soft
+    limit (less VmSize) and the headroom under the cgroup v2 memory.max
+    (less memory.current), each taken only where it can be read.  None
+    where none can."""
+    bounds = {}
+    available = _proc_kib("/proc/meminfo", "MemAvailable")
+    if available is not None:
+        bounds["MemAvailable"] = available / 2**10
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    size = _proc_kib("/proc/self/status", "VmSize")
+    if limit != resource.RLIM_INFINITY and size is not None:
+        bounds["RLIMIT_AS"] = limit / 2**20 - size / 2**10
+    cgroup = _cgroup_headroom_bytes()
+    if cgroup is not None:
+        bounds["cgroup memory.max"] = cgroup / 2**20
+    if not bounds:
+        return None
+    bound = min(bounds, key=bounds.get)
+    return bounds[bound], bound

@@ -305,12 +305,14 @@ class TestFarFieldMatrix:
             assert _rel_max(pattern.values, ref @ density.coefficients) <= 1e-13
             assert pattern.values.flags.c_contiguous and not pattern.values.flags.writeable
 
-    # traced peak of this call at ef6ed1b, whose phases were np.exp(1j * ...):
-    # 8 126 264 bytes sound-soft, 7 108 968 sound-hard (numpy 2.4.6)
-    @pytest.mark.parametrize("bc, bound", [(D, 8_532_577), (N, 7_464_416)])
+    # traced peak of this call with the directions in pieces of at most
+    # _ROW_BLOCK**2 direction-panel pairs: 911 184 bytes sound-soft, 910 680
+    # sound-hard (numpy 2.4.6); 6 232 256 and 6 231 752 in blocks of
+    # _ROW_BLOCK directions
+    @pytest.mark.parametrize("bc, bound", [(D, 956_744), (N, 956_214)])
     def test_memory_bound(self, canonical_mesh, bc, bound):
         """The far-field operator of the 864-panel canonical mesh at 800
-        directions, built block by block, peaks within 5 % of that value."""
+        directions, built piece by piece, peaks within 5 % of that value."""
         density = LayerDensity(coefficients=np.ones(canonical_mesh.n_panels, complex), bc=bc, k=2.0)
         assert canonical_mesh.n_panels == 864 and self.grid.size == 800
         eval_farfields([density], canonical_mesh, self.grid)  # fills the mesh's cached arrays
@@ -624,6 +626,81 @@ class TestHotPath:
         )
         ref = (vals * mesh.areas) @ density.coefficients
         assert _rel_max(eval_scattered(density, mesh, pts), ref) <= 1e-13
+
+
+class TestEvaluatorPieces:
+    """eval_scattered and eval_farfields take their points and directions in
+    pieces of at most _ROW_BLOCK**2 point-panel pairs."""
+
+    @staticmethod
+    def _points(count):
+        rng = np.random.default_rng(40)
+        pts = rng.normal(size=(count, 3))
+        pts[:, 2] = np.abs(pts[:, 2]) + 1.0  # at least 1 above the plane, beyond 2h
+        return pts
+
+    # traced peak of this call: 2 356 368 bytes sound-soft, 2 237 536
+    # sound-hard (numpy 2.4.6); 12 445 640 and 11 752 856 with all points in
+    # one piece
+    @pytest.mark.parametrize("bc, bound", [(D, 2_474_187), (N, 2_349_413)])
+    def test_scattered_memory_bound(self, canonical_mesh, bc, bound):
+        """The layer potential of the 864-panel canonical mesh at 100 points
+        peaks within 5 % of that value."""
+        density = LayerDensity(np.ones(canonical_mesh.n_panels, complex), bc=bc, k=2.0)
+        pts = self._points(100)
+        eval_scattered(density, canonical_mesh, pts)  # fills the mesh's cached arrays
+        tracemalloc.start()
+        try:
+            eval_scattered(density, canonical_mesh, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    def test_distance_is_norms(self, canonical_mesh):
+        """The distance check's nearest distance, piece by piece, is that of
+        np.linalg.norm on all points at once, bit for bit."""
+        mesh = canonical_mesh
+        rng = np.random.default_rng(42)
+        pts = rng.uniform(-1.2, 1.2, size=(500, 3))  # above, near and below the surface
+        assert len(solver_mod._eval_pieces(mesh, len(pts))) > 1
+        images = mesh.centroids * kernels_mod.MIRROR
+        for sub in [pts] + [pts[i:i + 1] for i in range(0, len(pts), 10)]:
+            ref = min(np.linalg.norm(sub[:, None, :] - mesh.centroids, axis=-1).min(),
+                      np.linalg.norm(sub[:, None, :] - images, axis=-1).min())
+            got = solver_mod._eval_distance(mesh, sub, solver_mod._eval_pieces(mesh, len(sub)))
+            assert got == ref
+
+    @pytest.mark.parametrize("target_h", [0.085, 0.07])  # 864 and 1350 panels
+    @pytest.mark.parametrize("bc", [D, N])
+    def test_pieces_match_one_piece(self, monkeypatch, bc, target_h):
+        """The pieces give the values of one piece over all points.  The
+        potential matches bit for bit.  The far field matches within one ulp
+        of its largest value: when the panel count is not a multiple of 4
+        (1350), OpenBLAS rounds some entries of the (rows, 3) x (3, n) phase
+        products differently with the piece's row count (8e-18 and 3e-17
+        relative at most, seen on 800 directions)."""
+        prof = build_profile({"kind": "gaussian_bump", "R": 1.0, "amplitude": 0.3, "width": 0.25})
+        mesh = mesh_perturbation(prof, target_h)
+        rng = np.random.default_rng(41)
+        densities = [
+            LayerDensity(rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels),
+                         bc=bc, k=2.0)
+            for _ in range(3)
+        ]
+        grid = TestFarFieldMatrix.grid
+        pts = self._points(300)
+        assert len(solver_mod._eval_pieces(mesh, len(pts))) > 1
+        assert len(solver_mod._eval_pieces(mesh, grid.size)) > 1
+        pieces = (eval_scattered(densities[0], mesh, pts),
+                  [p.values for p in eval_farfields(densities, mesh, grid)])
+        monkeypatch.setattr(solver_mod, "_ROW_BLOCK", 10**6)
+        assert len(solver_mod._eval_pieces(mesh, len(pts))) == 1
+        whole = (eval_scattered(densities[0], mesh, pts),
+                 [p.values for p in eval_farfields(densities, mesh, grid)])
+        assert pieces[0].tobytes() == whole[0].tobytes()
+        for a, b in zip(pieces[1], whole[1]):
+            assert np.max(np.abs(a - b)) <= np.finfo(float).eps * np.max(np.abs(b))
 
 
 class TestUnitPhase:

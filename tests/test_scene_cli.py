@@ -19,6 +19,7 @@ import halfscat.inverse as inverse_mod
 import halfscat.scene as scene_mod
 import halfscat.solver as solver_mod
 import halfscat.suites as suites_mod
+import halfscat.util as util_mod
 from conftest import canonical_config
 from halfscat.cli import main
 from halfscat.errors import DippingProfileError, SceneConfigError
@@ -314,20 +315,76 @@ class TestCli:
 
     def test_dry_run_sizes_the_stored_system(self, tmp_path, capsys, monkeypatch):
         """A piecewise-linear scene keeps the dense system; the memory lines
-        follow MemAvailable and are left out where it cannot be read."""
+        follow the memory budget and are left out where it cannot be read."""
         grid = write_config(tmp_path, canonical_config(profile={**GRID, "heights": PEAK_7}))
         assert main(["forward", "--config", grid, "--dry-run"]) == 0
         out = capsys.readouterr().out
         panels = build_scene(load_config(grid)).mesh.n_panels
         assert f"dense_system_mb: {round(32 * panels**2 / 2**20, 1)}\n" in out
         assert "symmetry_sectors: 1\n" in out
-        monkeypatch.setattr(cli_mod, "_memory_available_mb", lambda: 1.0)
+        monkeypatch.setattr(cli_mod, "memory_budget_mb", lambda: (1.0, "MemAvailable"))
         assert main(["forward", "--config", grid, "--dry-run"]) == 0
         out = capsys.readouterr().out
-        assert "memory_available_mb: 1.0\n" in out and "system_fits_in_memory: false\n" in out
-        monkeypatch.setattr(cli_mod, "_memory_available_mb", lambda: None)
+        assert "memory_budget_mb: 1.0\n" in out and "memory_bound: MemAvailable\n" in out
+        assert "system_fits_in_memory: false\n" in out
+        monkeypatch.setattr(cli_mod, "memory_budget_mb", lambda: None)
         assert main(["forward", "--config", grid, "--dry-run"]) == 0
-        assert "memory_available_mb" not in capsys.readouterr().out
+        assert "memory_budget_mb" not in capsys.readouterr().out
+
+    # The child imports the CLI, then lowers its own RLIMIT_AS to its VmSize
+    # plus 24 MiB: room for meshing the 3456-panel h/2 scene, not for its
+    # 61 MiB system, whose 30 MiB blocks are the first allocation to fail.
+    # Nothing here can take more than the limit from the machine.
+    _RLIMIT_CHILD = """if True:
+        import resource, sys
+        from halfscat.cli import main
+        from halfscat.util import memory_budget_mb
+        with open("/proc/self/status", encoding="ascii") as fh:
+            vm = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+        resource.setrlimit(resource.RLIMIT_AS, (vm * 2**10 + 24 * 2**20, resource.RLIM_INFINITY))
+        print("budget", *memory_budget_mb(), flush=True)
+        sys.exit(main(sys.argv[1:]))
+    """
+
+    def _run_under_rlimit(self, tmp_path, *args):
+        config = write_config(tmp_path, canonical_config(mesh={"target_h": 0.0425}))
+        src = str(Path(halfscat.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-c", self._RLIMIT_CHILD, "forward", "--config", config,
+             "--out", str(tmp_path / "out"), *args],
+            env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, capture_output=True, text=True,
+            timeout=120,
+        )
+
+    def test_memory_budget_follows_rlimit_as(self, tmp_path):
+        run = self._run_under_rlimit(tmp_path, "--dry-run")
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        _, budget, bound = lines[0].split(" ", 2)
+        assert bound == "RLIMIT_AS" and 20 < float(budget) <= 24
+        assert "  memory_bound: RLIMIT_AS" in lines
+        assert "  dense_system_mb: 60.8" in lines
+        assert "  system_fits_in_memory: false" in lines
+
+    def test_out_of_memory_exits_2(self, tmp_path):
+        """numpy's MemoryError exits 2 with a message that names the limit."""
+        run = self._run_under_rlimit(tmp_path)
+        assert run.returncode == 2, run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("error: out of memory: Unable to allocate ")
+        assert "; RLIMIT_AS leaves " in run.stderr
+
+    def test_memory_budget_takes_the_smallest_bound(self, monkeypatch):
+        monkeypatch.setattr(util_mod, "_cgroup_headroom_bytes", lambda: 3 * 2**20)
+        assert util_mod.memory_budget_mb() == (3.0, "cgroup memory.max")
+
+    def test_memory_error_exits_2(self, flat_config, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_mod, "_dispatch", exhausted)
+        assert main(["forward", "--config", flat_config, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: out of memory: allocation failed")
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, canonical_config(bc="robin"))
@@ -441,8 +498,11 @@ class TestCli:
         monkeypatch.setattr(solver_mod, "farfield_matrix", counting_farfield_matrix)
         assert main(["forward", "--config", path, "--out", str(tmp_path / "multi")]) == 0
         scene = build_scene(validate_config(cfg))
-        # one operator for both incidents: every direction's row built once
-        assert built_rows == [scene.grid.size]
+        # one operator for both incidents: every direction's row built once,
+        # piece by piece
+        pieces = solver_mod._eval_pieces(scene.mesh, scene.grid.size)
+        assert built_rows == [p.stop - p.start for p in pieces]
+        assert sum(built_rows) == scene.grid.size
         for i, inc in enumerate(scene.incidents):
             assert (tmp_path / "multi" / f"density_{i:03d}.csv").exists()
             lines = (tmp_path / "multi" / f"farfield_{i:03d}.csv").read_text().splitlines()
