@@ -31,7 +31,6 @@ from .kernels import (
 )
 from .solver import (
     DirectionGrid,
-    FarFieldPattern,
     LayerDensity,
     SolveReport,
     eval_farfield,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryCondition",
     "DirectionGrid",
-    "FarFieldPattern",
     "GreenKernel",
     "GROUND_PLANE",
     "IncidentWave",

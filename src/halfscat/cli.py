@@ -226,10 +226,10 @@ def _dispatch(subcommand: str, scene, out_dir: Path) -> bool:
 def _run_forward(scene, out_dir: Path) -> bool:
     export_mesh_csv(scene.mesh, out_dir / "mesh.csv", scene_hash=scene.scene_hash)
     solves = [solve_scattered(scene.mesh, inc) for inc in scene.incidents]
-    patterns = eval_farfields([density for density, _ in solves], scene.mesh, scene.grid)
+    patterns = eval_farfields([density for density, _ in solves], scene.grid)
     report_payload = []
     for i, ((density, report), pattern) in enumerate(zip(solves, patterns)):
-        export_farfield_csv(pattern, out_dir / f"farfield_{i:03d}.csv",
+        export_farfield_csv(density, scene.grid, pattern, out_dir / f"farfield_{i:03d}.csv",
                             scene_hash=scene.scene_hash)
         export_density_csv(density, out_dir / f"density_{i:03d}.csv",
                            scene_hash=scene.scene_hash)

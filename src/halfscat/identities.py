@@ -82,11 +82,11 @@ def check_mixed_reciprocity(scene, d: np.ndarray, z: np.ndarray) -> IdentityRepo
     z = np.asarray(z, dtype=float)
     pw = _plane_wave_from_direction(d, scene.k, scene.bc)
     dens_pw, _ = solve_scattered(scene.mesh, pw)
-    rhs = eval_scattered(dens_pw, scene.mesh, z)
+    rhs = eval_scattered(dens_pw, z)
 
     ps = PointSource(z=z, k=scene.k, bc=scene.bc)
     dens_ps, _ = solve_scattered(scene.mesh, ps)
-    lhs = 4 * np.pi * eval_farfield(dens_ps, scene.mesh, DirectionGrid.single(-d)).values[0]
+    lhs = 4 * np.pi * eval_farfield(dens_ps, DirectionGrid.single(-d))[0]
     return _report("mixed_reciprocity", lhs, rhs)
 
 
@@ -97,11 +97,11 @@ def check_point_symmetry(scene, x: np.ndarray, y: np.ndarray) -> IdentityReport:
     y = np.asarray(y, dtype=float)
     src_y = PointSource(z=y, k=scene.k, bc=scene.bc)
     dens_y, _ = solve_scattered(scene.mesh, src_y)
-    lhs = eval_scattered(dens_y, scene.mesh, x)
+    lhs = eval_scattered(dens_y, x)
 
     src_x = PointSource(z=x, k=scene.k, bc=scene.bc)
     dens_x, _ = solve_scattered(scene.mesh, src_x)
-    rhs = eval_scattered(dens_x, scene.mesh, y)
+    rhs = eval_scattered(dens_x, y)
     return _report("point_symmetry", lhs, rhs)
 
 
@@ -123,7 +123,7 @@ def check_reflected_farfield(
     return _report("reflected_farfield", lhs, rhs)
 
 
-def check_extension(density: LayerDensity, mesh, samples: np.ndarray) -> IdentityReport:
+def check_extension(density: LayerDensity, samples: np.ndarray) -> IdentityReport:
     """Evaluate the representation above and below the plane at mirrored
     sample pairs; the odd (sound-soft) or even (sound-hard) extension, as
     ``density.bc`` says, makes the two agree up to sign.  Reports the worst
@@ -131,8 +131,8 @@ def check_extension(density: LayerDensity, mesh, samples: np.ndarray) -> Identit
     samples = np.asarray(samples, dtype=float).reshape(-1, 3)
     if not len(samples):
         raise ValueError("the extension check needs at least one sample point")
-    up = eval_scattered(density, mesh, samples)
-    down = eval_scattered(density, mesh, samples * MIRROR)
+    up = eval_scattered(density, samples)
+    down = eval_scattered(density, samples * MIRROR)
     expected = -up if density.bc is BoundaryCondition.DIRICHLET else up
     resid = np.abs(down - expected)
     worst = int(np.argmax(resid))
@@ -157,15 +157,13 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def check_radiation_decay(density: LayerDensity, mesh, xhat: np.ndarray) -> SlopeReport:
+def check_radiation_decay(density: LayerDensity, xhat: np.ndarray) -> SlopeReport:
     """Sommerfeld-residual decay of the solved field along a ray: least-squares
     log-log slope over DECAY_RADII radii in [10R, 100R]; the far-field
     expansion forces an exponent of -2."""
-    R = mesh.support_radius
+    R = density.mesh.support_radius
     radii = np.geomspace(10 * R, 100 * R, DECAY_RADII)
-    resid = radiation_residuals(
-        lambda pts: eval_scattered(density, mesh, pts), density.k, xhat, radii
-    )
+    resid = radiation_residuals(lambda pts: eval_scattered(density, pts), density.k, xhat, radii)
     vacuous = bool(np.all(resid == 0.0))
     return SlopeReport(
         name="radiation_decay",

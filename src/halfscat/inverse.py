@@ -164,7 +164,7 @@ def blow_up_indicator(scene, samples: np.ndarray) -> IndicatorMap:
     for i, z in enumerate(samples):
         src = PointSource(z=z, k=scene.k, bc=scene.bc)
         density, _ = solve_scattered(scene.mesh, src)
-        vals[i] = abs(eval_scattered(density, scene.mesh, z))
+        vals[i] = abs(eval_scattered(density, z))
     return IndicatorMap(points=samples, values=vals)
 
 
@@ -178,7 +178,7 @@ def forward_map(
     len(incidents) * grid.size), on a fresh mesh of the parametrized profile."""
     mesh = mesh_perturbation(params.to_profile(), target_h)
     densities = [solve_scattered(mesh, inc)[0] for inc in incidents]
-    return np.concatenate([p.values for p in eval_farfields(densities, mesh, grid)])
+    return eval_farfields(densities, grid).ravel()
 
 
 def _objective(resid: np.ndarray, theta: np.ndarray, theta_ref: np.ndarray, alpha: float):
@@ -289,7 +289,7 @@ def residual_separation(
             prof = prof.to_profile()
         mesh = mesh_perturbation(prof, target_h)
         density, _ = solve_scattered(mesh, incident)
-        patterns.append(eval_farfield(density, mesh, grid).values)
+        patterns.append(eval_farfield(density, grid))
     fa, fb = patterns
     return float(np.linalg.norm(fa - fb) / np.linalg.norm(fa))
 

@@ -43,17 +43,23 @@ _FFT_ROWS = 32  # block rows per sector-axis transform in _Factorization.factor
 _ESTIMATE_STEPS = 5  # onenormest's itmax
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerDensity:
-    """Complex panel coefficients of the boundary ansatz; the boundary
-    condition fixes the formulation (and k its coupling)."""
+    """Complex coefficients of the boundary ansatz, one per panel of ``mesh``;
+    the boundary condition fixes the formulation (and k its coupling).  The
+    density is the whole representation, so no evaluator takes a mesh.
+    Densities compare by identity, as meshes do."""
 
     coefficients: np.ndarray
     bc: BoundaryCondition
     k: float
+    mesh: PanelMesh
 
     def __post_init__(self):
         coeff = np.asarray(self.coefficients, dtype=complex)
+        if coeff.shape != (self.mesh.n_panels,):
+            raise ValueError(f"density carries coefficients of shape {coeff.shape} "
+                             f"but the mesh has {self.mesh.n_panels} panels")
         if not np.all(np.isfinite(coeff)):
             raise ValueError("layer density has non-finite entries")
         coeff.setflags(write=False)
@@ -120,21 +126,6 @@ class DirectionGrid:
         """theta and phi formatted once (``text_column``), for every far-field
         table written on this grid."""
         return text_column(self.theta), text_column(self.phi)
-
-
-@dataclass(frozen=True)
-class FarFieldPattern:
-    """Far-field samples of the scattered wave on the upper hemisphere."""
-
-    grid: DirectionGrid
-    values: np.ndarray
-    k: float
-    bc: BoundaryCondition
-    mesh_h: float
-
-    @property
-    def directions(self) -> np.ndarray:
-        return self.grid.directions
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +469,7 @@ def solve_scattered(mesh: PanelMesh, inc: IncidentWave) -> tuple[LayerDensity, S
             f"linear solve residual {residual:.3e} exceeds "
             f"{SOLVE_RESIDUAL_RTOL:g} * ||rhs|| = {SOLVE_RESIDUAL_RTOL * rhs_norm:.3e}"
         )
-    density = LayerDensity(coefficients=sigma, bc=inc.bc, k=inc.k)
+    density = LayerDensity(coefficients=sigma, bc=inc.bc, k=inc.k, mesh=mesh)
     report = SolveReport(
         panel_count=mesh.n_panels,
         condition_estimate=fact.cond_estimate,
@@ -490,14 +481,6 @@ def solve_scattered(mesh: PanelMesh, inc: IncidentWave) -> tuple[LayerDensity, S
         factor_time_s=0.0 if cache_hit else fact.factor_time_s,
     )
     return density, report
-
-
-def _check_density_matches(density: LayerDensity, mesh: PanelMesh) -> None:
-    if density.coefficients.shape[0] != mesh.n_panels:
-        raise ValueError(
-            f"density carries {density.coefficients.shape[0]} coefficients "
-            f"but the mesh has {mesh.n_panels} panels"
-        )
 
 
 def _eval_pieces(mesh: PanelMesh, count: int) -> list[slice]:
@@ -520,15 +503,15 @@ def _eval_distance(mesh: PanelMesh, pts: np.ndarray, pieces: list[slice]) -> flo
     return float(nearest)
 
 
-def eval_scattered(density: LayerDensity, mesh: PanelMesh, x: np.ndarray) -> np.ndarray:
+def eval_scattered(density: LayerDensity, x: np.ndarray) -> np.ndarray:
     """Evaluate the layer-potential representation at points x (off-surface);
-    the density carries k and the formulation.  The points are taken in
-    pieces of at most _ROW_BLOCK**2 point-panel pairs (``_eval_pieces``).
+    the density carries its mesh, k and the formulation.  The points are taken
+    in pieces of at most _ROW_BLOCK**2 point-panel pairs (``_eval_pieces``).
 
     The kernel is defined on both sides of the ground plane, so mirrored
     evaluation points are legitimate; they are what the extension checks use.
     """
-    _check_density_matches(density, mesh)
+    mesh = density.mesh
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (3,):
         raise ValueError(f"evaluation points must have 3 coordinates, got shape {x.shape}")
@@ -552,12 +535,10 @@ def eval_scattered(density: LayerDensity, mesh: PanelMesh, x: np.ndarray) -> np.
     return out[0] if single else out
 
 
-def eval_farfields(
-    densities: list[LayerDensity],
-    mesh: PanelMesh,
-    grid: DirectionGrid,
-) -> list[FarFieldPattern]:
-    """Far-field patterns of several densities on one mesh and grid.
+def eval_farfields(densities: list[LayerDensity], grid: DirectionGrid) -> np.ndarray:
+    """Far-field patterns of densities that share one mesh object, k and
+    formulation, on one grid: a read-only (len(densities), grid.size) array,
+    row i the pattern of densities[i].
 
     The far-field operator depends only on the mesh, k, the boundary
     condition and the grid, so it is built once, in pieces of at most
@@ -565,10 +546,11 @@ def eval_farfields(
     applied to all densities in one product."""
     if not densities:
         raise ValueError("eval_farfields needs at least one density")
-    for density in densities:
-        _check_density_matches(density, mesh)
     first = densities[0]
+    mesh = first.mesh
     for d in densities:
+        if d.mesh is not mesh:
+            raise ValueError("densities must share one mesh object")
         if (d.k, d.bc) != (first.k, first.bc):
             raise ValueError(f"densities must share k, formulation: k={first.k!r}, "
                              f"bc={first.bc.value} against k={d.k!r}, bc={d.bc.value}")
@@ -581,23 +563,26 @@ def eval_farfields(
         F = farfield_matrix(kern, dirs[piece], mesh.centroids, mesh.areas, normals)
         values[:, piece] = (F @ sigma).T
     values.setflags(write=False)
-    return [FarFieldPattern(grid=grid, values=row, k=first.k, bc=first.bc, mesh_h=mesh.h)
-            for row in values]
+    return values
 
 
-def eval_farfield(density: LayerDensity, mesh: PanelMesh, grid: DirectionGrid) -> FarFieldPattern:
-    """Far-field pattern of the representation on a hemisphere grid."""
-    return eval_farfields([density], mesh, grid)[0]
+def eval_farfield(density: LayerDensity, grid: DirectionGrid) -> np.ndarray:
+    """Far-field pattern of the representation on a hemisphere grid: one
+    row of ``eval_farfields``."""
+    return eval_farfields([density], grid)[0]
 
 
-def export_farfield_csv(pattern: FarFieldPattern, path, scene_hash: str = "") -> None:
-    """CSV with a provenance header line, then theta, phi, re, im rows."""
+def export_farfield_csv(density: LayerDensity, grid: DirectionGrid, values: np.ndarray, path,
+                        scene_hash: str = "") -> None:
+    """CSV with a provenance header line (the density's k, formulation and
+    mesh h), then theta, phi, re, im rows of the far field ``values`` on
+    ``grid``."""
     write_table(
         path,
-        f"k={pattern.k:.17g} bc={pattern.bc.value} mesh_h={pattern.mesh_h:.17g} "
+        f"k={density.k:.17g} bc={density.bc.value} mesh_h={density.mesh.h:.17g} "
         f"scene={scene_hash}",
         ["theta", "phi", "re", "im"],
-        [*pattern.grid.text_columns, pattern.values.real, pattern.values.imag],
+        [*grid.text_columns, values.real, values.imag],
     )
 
 

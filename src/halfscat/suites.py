@@ -221,14 +221,14 @@ def run_identities(scene):
                            "rel_err <= {:g} on 100 triples, both bcs"))
 
     density, _ = solve_scattered(scene.mesh, scene.incidents[0])
-    ext = check_extension(density, scene.mesh, extension_samples(scene))
+    ext = check_extension(density, extension_samples(scene))
     reports.append(ext)
     results.append(at_most("extension", ext.abs_err, TOLERANCES.extension,
                            "max mirrored residual <= {:g}"))
 
     lo = TOLERANCES.decay_slope_center - TOLERANCES.decay_slope_halfwidth
     hi = TOLERANCES.decay_slope_center + TOLERANCES.decay_slope_halfwidth
-    decay = check_radiation_decay(density, scene.mesh, np.array([0.0, 0.0, 1.0]))
+    decay = check_radiation_decay(density, np.array([0.0, 0.0, 1.0]))
     reports.append(decay)
     check = within("radiation_decay", decay.slope, lo, hi)
     # a scene that scatters nothing has no decay to fit and passes vacuously
@@ -372,10 +372,10 @@ def run_convergence(scene):
     """Far-field max-norm self-convergence between h and h/2."""
     inc = scene.incidents[0]
     coarse, _ = solve_scattered(scene.mesh, inc)
-    f_coarse = eval_farfield(coarse, scene.mesh, scene.grid).values
+    f_coarse = eval_farfield(coarse, scene.grid)
     fine_scene = refine_scene(scene)
     fine, _ = solve_scattered(fine_scene.mesh, inc)
-    f_fine = eval_farfield(fine, fine_scene.mesh, scene.grid).values
+    f_fine = eval_farfield(fine, scene.grid)
     gap = float(np.max(np.abs(f_coarse - f_fine)))
     denom = float(np.max(np.abs(f_fine)))
     rel = gap / denom if denom > 0 else (0.0 if gap == 0 else np.inf)

@@ -142,7 +142,7 @@ class TestExtension:
     def test_mirror_extension_exact(self, scene_name, request):
         scene = request.getfixturevalue(scene_name)
         density, _ = solve_scattered(scene.mesh, scene.incidents[0])
-        rep = check_extension(density, scene.mesh, extension_samples(scene))
+        rep = check_extension(density, extension_samples(scene))
         assert rep.abs_err <= 1e-12
 
     def test_zero_density(self, canonical_dirichlet):
@@ -151,18 +151,19 @@ class TestExtension:
             coefficients=np.zeros(mesh.n_panels, dtype=complex),
             bc=D,
             k=2.0,
+            mesh=mesh,
         )
-        rep = check_extension(density, mesh, extension_samples(canonical_dirichlet))
+        rep = check_extension(density, extension_samples(canonical_dirichlet))
         assert rep.abs_err == 0.0
         with pytest.raises(ValueError, match="at least one sample"):
-            check_extension(density, mesh, np.zeros((0, 3)))
+            check_extension(density, np.zeros((0, 3)))
 
 
 class TestRadiationDecay:
     def test_solved_scene_slope(self, canonical_dirichlet):
         scene = canonical_dirichlet
         density, _ = solve_scattered(scene.mesh, scene.incidents[0])
-        rep = check_radiation_decay(density, scene.mesh, np.array([0.0, 0.0, 1.0]))
+        rep = check_radiation_decay(density, np.array([0.0, 0.0, 1.0]))
         assert not rep.vacuous
         assert -2.2 <= rep.slope <= -1.8
         assert rep.radii[0] == pytest.approx(10.0) and rep.radii[-1] == pytest.approx(100.0)
@@ -179,8 +180,9 @@ class TestRadiationDecay:
             coefficients=np.zeros(mesh.n_panels, dtype=complex),
             bc=D,
             k=2.0,
+            mesh=mesh,
         )
-        rep = check_radiation_decay(density, mesh, np.array([0.0, 0.0, 1.0]))
+        rep = check_radiation_decay(density, np.array([0.0, 0.0, 1.0]))
         assert rep.vacuous
         assert json.loads(json.dumps(rep.record()))["vacuous"] is True
 

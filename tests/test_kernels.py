@@ -293,6 +293,7 @@ class TestFarFieldMatrix:
                 coefficients=rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels),
                 bc=bc,
                 k=2.0,
+                mesh=mesh,
             )
             for _ in range(3)
         ]
@@ -301,9 +302,9 @@ class TestFarFieldMatrix:
             GreenKernel(k=2.0, bc=bc), self.grid.directions, mesh.centroids, mesh.areas,
             normals, eta,
         )
-        for pattern, density in zip(eval_farfields(densities, mesh, self.grid), densities):
-            assert _rel_max(pattern.values, ref @ density.coefficients) <= 1e-13
-            assert pattern.values.flags.c_contiguous and not pattern.values.flags.writeable
+        for pattern, density in zip(eval_farfields(densities, self.grid), densities):
+            assert _rel_max(pattern, ref @ density.coefficients) <= 1e-13
+            assert pattern.flags.c_contiguous and not pattern.flags.writeable
 
     # traced peak of this call with the directions in pieces of at most
     # _ROW_BLOCK**2 direction-panel pairs: 911 184 bytes sound-soft, 910 680
@@ -313,12 +314,13 @@ class TestFarFieldMatrix:
     def test_memory_bound(self, canonical_mesh, bc, bound):
         """The far-field operator of the 864-panel canonical mesh at 800
         directions, built piece by piece, peaks within 5 % of that value."""
-        density = LayerDensity(coefficients=np.ones(canonical_mesh.n_panels, complex), bc=bc, k=2.0)
+        density = LayerDensity(coefficients=np.ones(canonical_mesh.n_panels, complex), bc=bc, k=2.0,
+                               mesh=canonical_mesh)
         assert canonical_mesh.n_panels == 864 and self.grid.size == 800
-        eval_farfields([density], canonical_mesh, self.grid)  # fills the mesh's cached arrays
+        eval_farfields([density], self.grid)  # fills the mesh's cached arrays
         tracemalloc.start()
         try:
-            eval_farfields([density], canonical_mesh, self.grid)
+            eval_farfields([density], self.grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -617,6 +619,7 @@ class TestHotPath:
             coefficients=rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels),
             bc=bc,
             k=2.0,
+            mesh=mesh,
         )
         # above the plane, and one point below it
         pts = np.array([[0.3, -0.2, 1.5], [1.5, 0.4, 0.8], [-0.6, 0.9, -1.2]])
@@ -625,7 +628,7 @@ class TestHotPath:
             kern, pts[:, None, :], mesh.centroids[None, :, :], mesh.normals[None, :, :], eta
         )
         ref = (vals * mesh.areas) @ density.coefficients
-        assert _rel_max(eval_scattered(density, mesh, pts), ref) <= 1e-13
+        assert _rel_max(eval_scattered(density, pts), ref) <= 1e-13
 
 
 class TestEvaluatorPieces:
@@ -646,12 +649,13 @@ class TestEvaluatorPieces:
     def test_scattered_memory_bound(self, canonical_mesh, bc, bound):
         """The layer potential of the 864-panel canonical mesh at 100 points
         peaks within 5 % of that value."""
-        density = LayerDensity(np.ones(canonical_mesh.n_panels, complex), bc=bc, k=2.0)
+        density = LayerDensity(np.ones(canonical_mesh.n_panels, complex), bc=bc, k=2.0,
+                               mesh=canonical_mesh)
         pts = self._points(100)
-        eval_scattered(density, canonical_mesh, pts)  # fills the mesh's cached arrays
+        eval_scattered(density, pts)  # fills the mesh's cached arrays
         tracemalloc.start()
         try:
-            eval_scattered(density, canonical_mesh, pts)
+            eval_scattered(density, pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -685,19 +689,17 @@ class TestEvaluatorPieces:
         rng = np.random.default_rng(41)
         densities = [
             LayerDensity(rng.normal(size=mesh.n_panels) + 1j * rng.normal(size=mesh.n_panels),
-                         bc=bc, k=2.0)
+                         bc=bc, k=2.0, mesh=mesh)
             for _ in range(3)
         ]
         grid = TestFarFieldMatrix.grid
         pts = self._points(300)
         assert len(solver_mod._eval_pieces(mesh, len(pts))) > 1
         assert len(solver_mod._eval_pieces(mesh, grid.size)) > 1
-        pieces = (eval_scattered(densities[0], mesh, pts),
-                  [p.values for p in eval_farfields(densities, mesh, grid)])
+        pieces = (eval_scattered(densities[0], pts), eval_farfields(densities, grid))
         monkeypatch.setattr(solver_mod, "_ROW_BLOCK", 10**6)
         assert len(solver_mod._eval_pieces(mesh, len(pts))) == 1
-        whole = (eval_scattered(densities[0], mesh, pts),
-                 [p.values for p in eval_farfields(densities, mesh, grid)])
+        whole = (eval_scattered(densities[0], pts), eval_farfields(densities, grid))
         assert pieces[0].tobytes() == whole[0].tobytes()
         for a, b in zip(pieces[1], whole[1]):
             assert np.max(np.abs(a - b)) <= np.finfo(float).eps * np.max(np.abs(b))

@@ -49,8 +49,7 @@ class TestFlatNull:
         assert report.rhs_norm == 0.0
         assert np.max(np.abs(density.coefficients)) == 0.0
         grid = DirectionGrid.make(6, 4)
-        pattern = eval_farfield(density, flat_mesh, grid)
-        assert np.max(np.abs(pattern.values)) <= 1e-12
+        assert np.max(np.abs(eval_farfield(density, grid))) <= 1e-12
 
     def test_point_source_on_flat_also_null(self, flat_mesh):
         ps = PointSource(z=(0.4, 0.1, 1.0), k=2.0, bc=D)
@@ -339,21 +338,22 @@ class TestEvalScattered:
             coefficients=np.zeros(small_bump_mesh.n_panels, dtype=complex),
             bc=D,
             k=2.0,
+            mesh=small_bump_mesh,
         )
-        val = eval_scattered(density, small_bump_mesh, np.array([0.0, 0.0, 2.0]))
+        val = eval_scattered(density, np.array([0.0, 0.0, 2.0]))
         assert val == 0.0
 
     def test_no_points_evaluate_to_an_empty_array(self, small_bump_mesh):
         for bc in (D, N):
-            density = LayerDensity(np.ones(small_bump_mesh.n_panels), bc=bc, k=2.0)
-            val = eval_scattered(density, small_bump_mesh, np.zeros((0, 3)))
+            density = LayerDensity(np.ones(small_bump_mesh.n_panels), bc=bc, k=2.0, mesh=small_bump_mesh)
+            val = eval_scattered(density, np.zeros((0, 3)))
             assert val.shape == (0,) and val.dtype == complex
 
     def test_vanishes_on_plane_beyond_support(self, small_bump_mesh):
         pw = PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D)
         density, _ = solve_scattered(small_bump_mesh, pw)
         pts = np.array([[1.8, 0.4, 0.0], [-3.0, 0.2, 0.0], [0.1, 2.4, 0.0]])
-        assert np.max(np.abs(eval_scattered(density, small_bump_mesh, pts))) <= 1e-12
+        assert np.max(np.abs(eval_scattered(density, pts))) <= 1e-12
 
     @pytest.mark.parametrize("bc,sign", [(D, -1.0), (N, 1.0)])
     def test_mirrored_evaluation(self, small_bump_mesh, bc, sign):
@@ -363,24 +363,24 @@ class TestEvalScattered:
         pts = rng.normal(size=(20, 3))
         pts[:, 2] = np.abs(pts[:, 2]) + 0.2
         pts *= (2.0 / np.linalg.norm(pts, axis=1))[:, None]
-        up = eval_scattered(density, small_bump_mesh, pts)
-        down = eval_scattered(density, small_bump_mesh, pts * np.array([1, 1, -1]))
+        up = eval_scattered(density, pts)
+        down = eval_scattered(density, pts * np.array([1, 1, -1]))
         assert np.max(np.abs(down - sign * up)) <= 1e-12
 
     def test_too_close_to_surface_or_image_rejected(self, small_bump_mesh):
         pw = PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D)
         density, _ = solve_scattered(small_bump_mesh, pw)
         with pytest.raises(ProximityError):
-            eval_scattered(density, small_bump_mesh, np.array([0.0, 0.0, 0.4]))
+            eval_scattered(density, np.array([0.0, 0.0, 0.4]))
         with pytest.raises(ProximityError):  #近 image panels below the plane
-            eval_scattered(density, small_bump_mesh, np.array([0.0, 0.0, -0.4]))
+            eval_scattered(density, np.array([0.0, 0.0, -0.4]))
 
     def test_helmholtz_residual_of_representation(self, small_bump_mesh):
         pw = PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D)
         density, _ = solve_scattered(small_bump_mesh, pw)
         for x in ([0.4, 0.2, 1.5], [-0.8, 0.3, 2.0]):
             res = helmholtz_rel_residual(
-                lambda q: eval_scattered(density, small_bump_mesh, q), np.array(x), 2.0
+                lambda q: eval_scattered(density, q), np.array(x), 2.0
             )
             assert res <= 1e-4
 
@@ -389,7 +389,7 @@ class TestEvalScattered:
         density, _ = solve_scattered(small_bump_mesh, pw)
         radii = np.geomspace(10.0, 100.0, 12)
         resid = radiation_residuals(
-            lambda pts: eval_scattered(density, small_bump_mesh, pts),
+            lambda pts: eval_scattered(density, pts),
             2.0,
             np.array([0.0, 0.0, 1.0]),
             radii,
@@ -397,27 +397,33 @@ class TestEvalScattered:
         assert -2.2 <= fit_loglog_slope(radii, resid) <= -1.8
 
     def test_density_mesh_mismatch_rejected(self, small_bump_mesh, flat_mesh):
+        """A density is built on its mesh: one coefficient per panel."""
         pw = PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D)
         density, _ = solve_scattered(small_bump_mesh, pw)
+        assert density.mesh is small_bump_mesh
+        assert flat_mesh.n_panels != small_bump_mesh.n_panels
+        for coefficients in (density.coefficients, density.coefficients[None, :]):
+            with pytest.raises(ValueError, match="panels"):
+                dataclasses.replace(density, coefficients=coefficients, mesh=flat_mesh)
         with pytest.raises(ValueError, match="panels"):
-            eval_scattered(density, flat_mesh, np.array([0.0, 0.0, 2.0]))
+            dataclasses.replace(density, coefficients=density.coefficients[None, :])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected(self, small_bump_mesh, bad):
         pw = PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D)
         density, _ = solve_scattered(small_bump_mesh, pw)
         with pytest.raises(ValueError, match="must be finite"):
-            eval_scattered(density, small_bump_mesh, np.array([bad, 0.0, 1.0]))
+            eval_scattered(density, np.array([bad, 0.0, 1.0]))
         pts = np.array([[0.0, 0.0, 2.0], [0.0, bad, 1.0]])
         with pytest.raises(ValueError, match="must be finite"):
-            eval_scattered(density, small_bump_mesh, pts)
+            eval_scattered(density, pts)
 
     @pytest.mark.parametrize("x", [np.zeros(0), np.zeros(2), np.zeros(4), np.float64(2.0),
                                    np.full((3, 2), 5.0)])
     def test_points_without_three_coordinates_rejected(self, small_bump_mesh, x):
-        density = LayerDensity(np.ones(small_bump_mesh.n_panels), bc=D, k=2.0)
+        density = LayerDensity(np.ones(small_bump_mesh.n_panels), bc=D, k=2.0, mesh=small_bump_mesh)
         with pytest.raises(ValueError, match="must have 3 coordinates"):
-            eval_scattered(density, small_bump_mesh, x)
+            eval_scattered(density, x)
 
 
 class TestFarField:
@@ -428,38 +434,66 @@ class TestFarField:
             xhat = np.array([0.3, -0.2, 0.9])
             xhat /= np.linalg.norm(xhat)
             r = 1e3
-            u = eval_scattered(density, small_bump_mesh, r * xhat)
-            ff = eval_farfield(density, small_bump_mesh, DirectionGrid.single(xhat)).values[0]
+            u = eval_scattered(density, r * xhat)
+            ff = eval_farfield(density, DirectionGrid.single(xhat))[0]
             assert abs(r * np.exp(-1j * 2.0 * r) * u - ff) / abs(ff) <= 1e-3
 
     def test_pattern_provenance_and_determinism(self, small_bump_mesh, tmp_path):
         pw = PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D)
         density, _ = solve_scattered(small_bump_mesh, pw)
         grid = DirectionGrid.make(5, 4)
-        p1 = eval_farfield(density, small_bump_mesh, grid)
-        assert p1.mesh_h == small_bump_mesh.h
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_farfield_csv(p1, f1, scene_hash="beef07")
+        export_farfield_csv(density, grid, eval_farfield(density, grid), f1, scene_hash="beef07")
         solver_mod.clear_factorization_cache()
         density2, _ = solve_scattered(small_bump_mesh, pw)
-        export_farfield_csv(eval_farfield(density2, small_bump_mesh, grid), f2, "beef07")
+        export_farfield_csv(density2, grid, eval_farfield(density2, grid), f2, "beef07")
         assert f1.read_bytes() == f2.read_bytes()
         header = f1.read_text().splitlines()[0]
-        assert "k=2" in header and "bc=dirichlet" in header and "scene=beef07" in header
+        assert header == f"# k=2 bc=dirichlet mesh_h={small_bump_mesh.h:.17g} scene=beef07"
 
     def test_batch_input_validation(self, small_bump_mesh, flat_mesh):
         grid = DirectionGrid.make(4, 3)
         with pytest.raises(ValueError, match="at least one density"):
-            eval_farfields([], small_bump_mesh, grid)
+            eval_farfields([], grid)
         dens_d, _ = solve_scattered(small_bump_mesh, PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D))
-        with pytest.raises(ValueError, match="panels"):
-            eval_farfields([dens_d], flat_mesh, grid)
+        dens_flat, _ = solve_scattered(flat_mesh, PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=D))
+        with pytest.raises(ValueError, match="share one mesh"):
+            eval_farfields([dens_d, dens_flat], grid)
         dens_n, _ = solve_scattered(small_bump_mesh, PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=N))
         with pytest.raises(ValueError, match="share k, formulation"):
-            eval_farfields([dens_d, dens_n], small_bump_mesh, grid)
+            eval_farfields([dens_d, dens_n], grid)
         dens_k, _ = solve_scattered(small_bump_mesh, PlaneWave(phi=0.0, theta=0.0, k=2.5, bc=D))
         with pytest.raises(ValueError, match="share k, formulation"):
-            eval_farfields([dens_d, dens_k], small_bump_mesh, grid)
+            eval_farfields([dens_d, dens_k], grid)
+
+    def test_densities_on_twin_meshes_refused(self, canonical_dirichlet):
+        """Two meshes of one profile and target h have equal panel counts but
+        are two meshes: their densities do not mix."""
+        profile, grid = canonical_dirichlet.profile, canonical_dirichlet.grid
+        mesh_a, mesh_b = (mesh_perturbation(profile, 0.085) for _ in range(2))
+        assert mesh_a.n_panels == mesh_b.n_panels == 864 and mesh_a is not mesh_b
+        inc = canonical_dirichlet.incidents[0]
+        dens_a, dens_b = (solve_scattered(mesh, inc)[0] for mesh in (mesh_a, mesh_b))
+        with pytest.raises(ValueError, match="share one mesh"):
+            eval_farfields([dens_a, dens_b], grid)
+        assert eval_farfields([dens_b, dens_b], grid).shape == (2, grid.size)
+
+    def test_patterns_are_rows_of_one_array(self, small_bump_mesh):
+        """eval_farfields returns one read-only (densities, directions) array,
+        whose rows are eval_farfield of each density.  Not bit for bit: numpy
+        forms the one-density product as a matrix-vector product and three
+        densities as a matrix product, whose sums OpenBLAS rounds differently
+        (by at most 1.7e-15 of the largest value on this mesh)."""
+        grid = DirectionGrid.make(7, 5)
+        densities = [solve_scattered(small_bump_mesh, PlaneWave(phi=phi, theta=1.0, k=2.0, bc=D))[0]
+                     for phi in (0.0, 0.4, 0.9)]
+        values = eval_farfields(densities, grid)
+        assert values.shape == (3, grid.size) and values.dtype == complex
+        assert not values.flags.writeable
+        for row, density in zip(values, densities):
+            one = eval_farfield(density, grid)
+            assert not one.flags.writeable
+            assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
 
 
 class TestDirectionGrid:

@@ -6,43 +6,45 @@ every other column with ``%.17g`` (so ``-0.0`` prints as ``-0`` and a
 subnormal keeps all 17 digits).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from halfscat.geometry import PanelMesh, build_profile, export_mesh_csv, mesh_perturbation
-from halfscat.incident import BoundaryCondition, PlaneWave
+from halfscat.geometry import PanelMesh, export_mesh_csv
+from halfscat.incident import BoundaryCondition
 from halfscat.inverse import (
     IndicatorMap,
     InversionReport,
     export_indicator_csv,
     export_inversion_trace_csv,
 )
-from halfscat.solver import (
-    DirectionGrid,
-    FarFieldPattern,
-    export_density_csv,
-    export_farfield_csv,
-    solve_scattered,
-)
+from halfscat.solver import DirectionGrid, LayerDensity, export_density_csv, export_farfield_csv
 
 SUB = 5e-324  # smallest subnormal double
+
+
+def _mesh(n_panels, h):
+    """n_panels copies of one triangle; the tables read only the panel
+    count and h."""
+    return PanelMesh(
+        vertices=np.eye(3),
+        triangles=np.tile([0, 1, 2], (n_panels, 1)),
+        centroids=np.full((n_panels, 3), 1 / 3),
+        areas=np.full(n_panels, 0.5),
+        normals=np.tile([0.0, 0.0, 1.0], (n_panels, 1)),
+        h=h,
+        n_rings=1,
+        support_radius=1.0,
+    )
 
 
 def test_farfield_bytes(tmp_path):
     grid = DirectionGrid(
         directions=np.zeros((2, 3)), theta=np.array([0.0, 1.5]), phi=np.array([SUB, 0.25])
     )
-    pattern = FarFieldPattern(
-        grid=grid,
-        values=np.array([complex(-0.0, 1 / 3), complex(1e300, -SUB)]),
-        k=2.5,
-        bc=BoundaryCondition.NEUMANN,
-        mesh_h=0.125,
-    )
+    density = LayerDensity(np.zeros(1), BoundaryCondition.NEUMANN, 2.5, _mesh(1, 0.125))
+    values = np.array([complex(-0.0, 1 / 3), complex(1e300, -SUB)])
     path = tmp_path / "f.csv"
-    export_farfield_csv(pattern, path)
+    export_farfield_csv(density, grid, values, path)
     assert path.read_bytes() == (
         b"# k=2.5 bc=neumann mesh_h=0.125 scene=\n"
         b"theta,phi,re,im\r\n"
@@ -53,12 +55,8 @@ def test_farfield_bytes(tmp_path):
 
 @pytest.fixture(scope="module")
 def density():
-    mesh = mesh_perturbation(build_profile({"kind": "zero", "R": 1.0}), 0.25)
-    solved, _ = solve_scattered(
-        mesh, PlaneWave(phi=0.0, theta=0.0, k=2.0, bc=BoundaryCondition.DIRICHLET)
-    )
     coeffs = np.array([complex(-0.0, SUB), complex(0.1, -2.0), 3.0])
-    return dataclasses.replace(solved, coefficients=coeffs)
+    return LayerDensity(coeffs, BoundaryCondition.DIRICHLET, 2.0, _mesh(3, 0.25))
 
 
 @pytest.mark.parametrize(
