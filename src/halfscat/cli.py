@@ -16,12 +16,18 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import SceneConfigError
+from .errors import MemoryBudgetError, SceneConfigError
 from .geometry import export_mesh_csv, ring_count
 from .inverse import export_indicator_csv, export_inversion_trace_csv
-from .lapack import pin_one_thread
+from .lapack import pin_one_thread, work_buffer_mb
 from .scene import build_scene, load_config
-from .solver import eval_farfields, export_density_csv, export_farfield_csv, solve_scattered
+from .solver import (
+    eval_farfields,
+    export_density_csv,
+    export_farfield_csv,
+    solve_scattered,
+    system_mb,
+)
 from .suites import (
     refined_target_h,
     require_invertible,
@@ -104,7 +110,8 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except MemoryError as exc:
-        budget = memory_budget_mb()
+        # a refusal names its own budget
+        budget = None if isinstance(exc, MemoryBudgetError) else memory_budget_mb()
         limit = "" if budget is None else f"; {budget[1]} leaves {budget[0]:.1f} MiB"
         print(f"error: out of memory: {str(exc) or 'allocation failed'}{limit}", file=sys.stderr)
         return 2
@@ -150,12 +157,13 @@ def _run(args) -> int:
 
 def _print_plan(args, scene) -> None:
     panels, sectors = _largest_system(args.subcommand, scene)
-    system_mb = round(32 * panels**2 / sectors / 2**20, 1)
+    stored_mb = system_mb(panels, sectors)
     budget = memory_budget_mb()
+    # what get_factorization checks, with the work buffer of the run's first LU
     memory = {} if budget is None else {
         "memory_budget_mb": round(budget[0], 1),
         "memory_bound": budget[1],
-        "system_fits_in_memory": str(system_mb <= budget[0]).lower(),
+        "system_fits_in_memory": str(stored_mb + work_buffer_mb() <= budget[0]).lower(),
     }
     plan = {
         "subcommand": args.subcommand,
@@ -169,9 +177,8 @@ def _print_plan(args, scene) -> None:
         "lipschitz_constant": scene.profile.max_slope,
         "incidents": len(scene.incidents),
         "farfield_directions": scene.grid.size,
-        # the largest system the verb factors, in MiB: its g sector blocks
-        # of (n/g)^2 complex entries plus their LU factors
-        "dense_system_mb": system_mb,
+        # the largest system the verb factors, blocks and LUs, in MiB
+        "dense_system_mb": round(stored_mb, 1),
         "symmetry_sectors": sectors,
         **memory,
         "threads": args.threads,

@@ -25,6 +25,10 @@ class ResonanceError(RuntimeError):
     """Linear system conditioning indicates a spurious interior resonance."""
 
 
+class MemoryBudgetError(MemoryError):
+    """The collocation system does not fit in what the process can allocate."""
+
+
 class SolveError(RuntimeError):
     """Linear solve failed to meet the residual contract."""
 

@@ -9,6 +9,11 @@ numpy.  Where numpy's BLAS exports neither ``scipy_zgetrf_64_`` nor
 ``scipy.linalg.lapack``, imported on first use, in the OpenBLAS scipy loads.
 Either way the pivots are LAPACK's: 1-based int64 row interchanges.  Only
 ``pin_one_thread`` changes a pool.
+
+OpenBLAS maps a work buffer at the process's first LU and calls ``exit``
+when that mapping fails, so no Python handler sees it.  ``work_buffer_mb``
+says how much that first LU maps and ``map_work_buffer`` runs it on a 1 x 1
+matrix, for a caller that has checked the room.
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ _TRANS = (b"N", b"T", b"C")  # trans 0, 1, 2 as scipy numbers them
 # (which prefix and suffix the symbols) and of a plain OpenBLAS
 _SET_THREADS = [f"{prefix}openblas_set_num_threads{suffix}"
                 for prefix in ("scipy_", "") for suffix in ("64_", "")]
+# VmSize growth at the first zgetrf of a process, whatever its size (numpy
+# 2.4.6's OpenBLAS 0.3.31, one thread)
+_WORK_BUFFER_MB = 32.0
+_factored = False  # whether this process has run an LU
 
 
 @functools.cache
@@ -96,6 +105,19 @@ def pin_one_thread() -> None:
             setter(1)
 
 
+def work_buffer_mb() -> float:
+    """MiB the BLAS maps for its work buffer at the process's first LU; 0
+    once an LU has run."""
+    return 0.0 if _factored else _WORK_BUFFER_MB
+
+
+def map_work_buffer() -> None:
+    """Run the process's first LU, on a 1 x 1 matrix, so the BLAS maps its
+    work buffer now; nothing where an LU has run."""
+    if not _factored:
+        getrf(np.ones((1, 1), dtype=complex, order="F"))
+
+
 def _check_info(info: int, routine: str) -> None:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
@@ -106,6 +128,7 @@ def getrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     returns ``(a, piv)`` with L (unit diagonal) below and U on and above the
     diagonal of ``a``, and row i interchanged with row piv[i] - 1.  An exact
     zero pivot leaves a zero on U's diagonal and raises nothing."""
+    global _factored
     n = a.shape[0]
     if a.dtype != np.complex128 or a.shape != (n, n) or not (
             a.flags.f_contiguous and a.flags.writeable):
@@ -115,12 +138,14 @@ def getrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     routines = _routines()
     if routines is None:
         lu, piv, info = _scipy_routine("zgetrf")(a, overwrite_a=True)
+        _factored = True
         _check_info(info, "zgetrf")
         return lu, piv.astype(np.int64) + 1
     piv = np.empty(n, dtype=np.int64)
     info = _INT()
     size = _INT(n)
     routines[0](size, size, a.ctypes.data, _INT(max(1, n)), piv.ctypes.data, info)
+    _factored = True
     _check_info(info.value, "zgetrf")
     return a, piv
 

@@ -17,9 +17,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# numpy imports its fft module, and maps its library, on first use; imported
+# here, a short memory cannot fail the first factorization with an ImportError
+import numpy.fft
 
 from . import lapack
-from .errors import ProximityError, ResonanceError, SolveError
+from .errors import MemoryBudgetError, ProximityError, ResonanceError, SolveError
 from .geometry import PanelMesh
 from .incident import IncidentWave, PointSource, eval_pair, grad_pair
 from .kernels import (
@@ -32,7 +35,7 @@ from .kernels import (
     farfield_matrix,
     representation,
 )
-from .util import even_slices, scene_comment, text_column, write_table
+from .util import even_slices, memory_budget_mb, scene_comment, text_column, write_table
 
 SOLVE_RESIDUAL_RTOL = 1e-10
 CONDITION_LIMIT = 1e8
@@ -406,15 +409,34 @@ def _cache_key(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> tuple:
     return (mesh, float(k), bc)
 
 
+def system_mb(panels: int, sectors: int) -> float:
+    """MiB that ``_Factorization`` stores for a mesh of this many panels
+    and sectors: the g blocks of (n/g)^2 complex entries and their LU
+    factors, 32 n^2 / g bytes."""
+    return 32 * panels**2 / sectors / 2**20
+
+
 def get_factorization(mesh: PanelMesh, k: float, bc: BoundaryCondition) -> _Factorization:
     """Assemble and factorize (or fetch from the cache) the collocation system
     for this mesh/wavenumber/boundary condition.  A miss drops the cached
-    factorization first, so the old and new systems are never held together."""
+    factorization first, so the old and new systems are never held together.
+
+    Before assembly, a miss raises ``MemoryBudgetError`` when the stored
+    system, plus the BLAS work buffer until the process's first LU, exceeds
+    ``memory_budget_mb()``.  Else it maps that buffer first, so that numpy,
+    not OpenBLAS, fails when the budget is short by less than assembly's
+    temporaries."""
     key = _cache_key(mesh, k, bc)
     if key in _FACTOR_CACHE:
         return _FACTOR_CACHE[key]
 
     _FACTOR_CACHE.clear()
+    need = system_mb(mesh.n_panels, mesh.sectors) + lapack.work_buffer_mb()
+    budget = memory_budget_mb()
+    if budget is not None and need > budget[0]:
+        raise MemoryBudgetError(f"the {mesh.n_panels}-panel system needs {need:.1f} MiB, "
+                                f"more than the {budget[0]:.1f} MiB {budget[1]} leaves")
+    lapack.map_work_buffer()
     t0 = time.perf_counter()
     blocks = _assemble_blocks(mesh, k, bc)
     t1 = time.perf_counter()
@@ -451,7 +473,7 @@ def solve_scattered(mesh: PanelMesh, inc: IncidentWave) -> tuple[LayerDensity, S
     scene only pay for the right-hand side and the triangular solves.
     """
     if isinstance(inc, PointSource):
-        dist = np.min(np.linalg.norm(mesh.centroids - inc.z, axis=1))
+        dist = _eval_distance(mesh, inc.z[None, :], [slice(0, 1)])
         if dist < 2.0 * mesh.h:
             raise ProximityError(
                 f"point source at distance {dist:.3g} from the surface; "
@@ -577,6 +599,9 @@ def export_farfield_csv(density: LayerDensity, grid: DirectionGrid, values: np.n
     """CSV with a provenance header line (the density's k, formulation and
     mesh h), then theta, phi, re, im rows of the far field ``values`` on
     ``grid``."""
+    if np.shape(values) != (grid.size,):
+        raise ValueError(f"far field of shape {np.shape(values)} "
+                         f"on a grid of {grid.size} directions")
     write_table(
         path,
         f"k={density.k:.17g} bc={density.bc.value} mesh_h={density.mesh.h:.17g} "

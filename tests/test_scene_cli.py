@@ -327,37 +327,50 @@ class TestCli:
         out = capsys.readouterr().out
         assert "memory_budget_mb: 1.0\n" in out and "memory_bound: MemAvailable\n" in out
         assert "system_fits_in_memory: false\n" in out
+        # it fits when the stored system and, before the first LU, OpenBLAS's
+        # work buffer do, as get_factorization checks
+        stored = solver_mod.system_mb(panels, 1)
+        monkeypatch.setattr(cli_mod, "memory_budget_mb", lambda: (stored + 16, "MemAvailable"))
+        for buffer_mb, fits in ((32.0, "false"), (0.0, "true")):
+            monkeypatch.setattr(cli_mod, "work_buffer_mb", lambda: buffer_mb)
+            assert main(["forward", "--config", grid, "--dry-run"]) == 0
+            assert f"system_fits_in_memory: {fits}\n" in capsys.readouterr().out
         monkeypatch.setattr(cli_mod, "memory_budget_mb", lambda: None)
         assert main(["forward", "--config", grid, "--dry-run"]) == 0
         assert "memory_budget_mb" not in capsys.readouterr().out
 
     # The child imports the CLI, then lowers its own RLIMIT_AS to its VmSize
-    # plus 24 MiB: room for meshing the 3456-panel h/2 scene, not for its
-    # 61 MiB system, whose 30 MiB blocks are the first allocation to fail.
-    # Nothing here can take more than the limit from the machine.
+    # plus the MiB of its first argument.  Nothing here can take more than
+    # the limit from the machine.
     _RLIMIT_CHILD = """if True:
         import resource, sys
         from halfscat.cli import main
         from halfscat.util import memory_budget_mb
         with open("/proc/self/status", encoding="ascii") as fh:
             vm = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
-        resource.setrlimit(resource.RLIMIT_AS, (vm * 2**10 + 24 * 2**20, resource.RLIM_INFINITY))
+        headroom = int(sys.argv[1]) * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (vm * 2**10 + headroom, resource.RLIM_INFINITY))
         print("budget", *memory_budget_mb(), flush=True)
-        sys.exit(main(sys.argv[1:]))
+        sys.exit(main(sys.argv[2:]))
     """
 
-    def _run_under_rlimit(self, tmp_path, *args):
-        config = write_config(tmp_path, canonical_config(mesh={"target_h": 0.0425}))
+    def _run_under_rlimit(self, tmp_path, mib, verb, config, *args):
         src = str(Path(halfscat.__file__).resolve().parents[1])
         return subprocess.run(
-            [sys.executable, "-c", self._RLIMIT_CHILD, "forward", "--config", config,
+            [sys.executable, "-c", self._RLIMIT_CHILD, str(mib), verb, "--config", config,
              "--out", str(tmp_path / "out"), *args],
             env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, capture_output=True, text=True,
             timeout=120,
         )
 
+    # 24 MiB is room for meshing the 3456-panel h/2 scene, not for its 61 MiB
+    # system
+    def _run_h2_forward(self, tmp_path, *args):
+        config = write_config(tmp_path, canonical_config(mesh={"target_h": 0.0425}))
+        return self._run_under_rlimit(tmp_path, 24, "forward", config, *args)
+
     def test_memory_budget_follows_rlimit_as(self, tmp_path):
-        run = self._run_under_rlimit(tmp_path, "--dry-run")
+        run = self._run_h2_forward(tmp_path, "--dry-run")
         assert run.returncode == 0, run.stderr
         lines = run.stdout.splitlines()
         _, budget, bound = lines[0].split(" ", 2)
@@ -366,13 +379,31 @@ class TestCli:
         assert "  dense_system_mb: 60.8" in lines
         assert "  system_fits_in_memory: false" in lines
 
-    def test_out_of_memory_exits_2(self, tmp_path):
-        """numpy's MemoryError exits 2 with a message that names the limit."""
-        run = self._run_under_rlimit(tmp_path)
+    def _assert_refused(self, run, panels):
+        """Exit 2 before assembly, without a traceback, with a message that
+        names what the system needs, the budget and its bound."""
         assert run.returncode == 2, run.stderr
-        assert "Traceback" not in run.stderr
-        assert run.stderr.startswith("error: out of memory: Unable to allocate ")
-        assert "; RLIMIT_AS leaves " in run.stderr
+        assert "Traceback" not in run.stderr and "OpenBLAS" not in run.stderr + run.stdout
+        need = solver_mod.system_mb(panels, 6) + 32
+        match = re.fullmatch(
+            rf"error: out of memory: the {panels}-panel system needs {need:.1f} MiB, more than "
+            r"the (\d+\.\d) MiB RLIMIT_AS leaves\n", run.stderr)
+        assert match, run.stderr
+        budget = float(run.stdout.split()[1])
+        assert float(match[1]) < need and float(match[1]) <= budget
+
+    def test_out_of_memory_exits_2(self, tmp_path):
+        """A system that does not fit is refused before it is allocated."""
+        self._assert_refused(self._run_h2_forward(tmp_path), 3456)
+
+    # too little for the first system and OpenBLAS's 32 MiB work buffer:
+    # unless refused, the canonical identities run exits 1, at 8 MiB with a
+    # traceback from numpy's lazy fft import, at 16 and 32 MiB from OpenBLAS
+    # when it cannot map its work buffer at the first LU
+    @pytest.mark.parametrize("mib", [8, 16, 32])
+    def test_refused_before_the_first_lu(self, tmp_path, mib):
+        config = write_config(tmp_path, canonical_config())
+        self._assert_refused(self._run_under_rlimit(tmp_path, mib, "identities", config), 864)
 
     def test_memory_budget_takes_the_smallest_bound(self, monkeypatch):
         monkeypatch.setattr(util_mod, "_cgroup_headroom_bytes", lambda: 3 * 2**20)

@@ -11,7 +11,7 @@ import halfscat.kernels as kernels_mod
 import halfscat.lapack as lapack_mod
 import halfscat.solver as solver_mod
 from conftest import dense_matrix, helmholtz_rel_residual
-from halfscat.errors import ProximityError, ResonanceError
+from halfscat.errors import MemoryBudgetError, ProximityError, ResonanceError
 from halfscat.geometry import build_profile, mesh_perturbation
 from halfscat.identities import fit_loglog_slope, radiation_residuals
 from halfscat.incident import BoundaryCondition, PlaneWave, PointSource
@@ -210,6 +210,21 @@ def _lu_bytes(fact):
     return [(lu.tobytes(), piv.tolist()) for lu, piv in fact.lus]
 
 
+def test_miss_refused_before_assembly(small_bump_mesh, monkeypatch):
+    """A miss whose stored system exceeds the memory budget raises before it
+    assembles anything; a hit reads no budget."""
+    fact = get_factorization(small_bump_mesh, 2.0, D)
+    assert lapack_mod.work_buffer_mb() == 0.0  # an LU has run in this process
+    need = solver_mod.system_mb(small_bump_mesh.n_panels, small_bump_mesh.sectors)
+    assert need == 32 * 384**2 / 6 / 2**20
+    monkeypatch.setattr(solver_mod, "memory_budget_mb", lambda: (need - 0.01, "MemAvailable"))
+    monkeypatch.setattr(solver_mod, "_assemble_blocks", None)  # calling it fails the test
+    assert get_factorization(small_bump_mesh, 2.0, D) is fact
+    with pytest.raises(MemoryBudgetError, match=rf"^the 384-panel system needs {need:.1f} MiB, "
+                       r"more than the 0\.7 MiB MemAvailable leaves$"):
+        get_factorization(small_bump_mesh, 2.5, D)
+
+
 @pytest.mark.parametrize("bc", [D, N])
 @pytest.mark.parametrize("mesh_name", ["small_bump_mesh", "piecewise_mesh"])
 class TestMissPath:
@@ -345,7 +360,7 @@ class TestEvalScattered:
 
     def test_no_points_evaluate_to_an_empty_array(self, small_bump_mesh):
         for bc in (D, N):
-            density = LayerDensity(np.ones(small_bump_mesh.n_panels), bc=bc, k=2.0, mesh=small_bump_mesh)
+            density = LayerDensity(np.ones(small_bump_mesh.n_panels), bc, 2.0, small_bump_mesh)
             val = eval_scattered(density, np.zeros((0, 3)))
             assert val.shape == (0,) and val.dtype == complex
 
@@ -421,7 +436,7 @@ class TestEvalScattered:
     @pytest.mark.parametrize("x", [np.zeros(0), np.zeros(2), np.zeros(4), np.float64(2.0),
                                    np.full((3, 2), 5.0)])
     def test_points_without_three_coordinates_rejected(self, small_bump_mesh, x):
-        density = LayerDensity(np.ones(small_bump_mesh.n_panels), bc=D, k=2.0, mesh=small_bump_mesh)
+        density = LayerDensity(np.ones(small_bump_mesh.n_panels), D, 2.0, small_bump_mesh)
         with pytest.raises(ValueError, match="must have 3 coordinates"):
             eval_scattered(density, x)
 
@@ -485,8 +500,8 @@ class TestFarField:
         densities as a matrix product, whose sums OpenBLAS rounds differently
         (by at most 1.7e-15 of the largest value on this mesh)."""
         grid = DirectionGrid.make(7, 5)
-        densities = [solve_scattered(small_bump_mesh, PlaneWave(phi=phi, theta=1.0, k=2.0, bc=D))[0]
-                     for phi in (0.0, 0.4, 0.9)]
+        waves = [PlaneWave(phi=phi, theta=1.0, k=2.0, bc=D) for phi in (0.0, 0.4, 0.9)]
+        densities = [solve_scattered(small_bump_mesh, wave)[0] for wave in waves]
         values = eval_farfields(densities, grid)
         assert values.shape == (3, grid.size) and values.dtype == complex
         assert not values.flags.writeable

@@ -44,6 +44,9 @@ def test_farfield_bytes(tmp_path):
     density = LayerDensity(np.zeros(1), BoundaryCondition.NEUMANN, 2.5, _mesh(1, 0.125))
     values = np.array([complex(-0.0, 1 / 3), complex(1e300, -SUB)])
     path = tmp_path / "f.csv"
+    for wrong in (values[:1], values[None, :]):
+        with pytest.raises(ValueError, match="on a grid of 2 directions"):
+            export_farfield_csv(density, grid, wrong, path)
     export_farfield_csv(density, grid, values, path)
     assert path.read_bytes() == (
         b"# k=2.5 bc=neumann mesh_h=0.125 scene=\n"
