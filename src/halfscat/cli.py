@@ -1,6 +1,7 @@
-"""Configuration-driven command line: solves, check suites, artifacts.
+"""Configuration-driven command line: solves and check suites.
 
 Subcommands: forward, identities, maxwell, indicator, invert, convergence.
+Each verb picks the names of its artifacts; ``artifacts`` writes their bytes.
 Exit status is 0 only when every tolerance of the requested suite is met and
 1 when one is breached; validation problems exit with status 2 and a
 field-level message, as do a config that cannot be read, an output
@@ -11,23 +12,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
 
+from . import artifacts
 from .errors import MemoryBudgetError, SceneConfigError
-from .geometry import export_mesh_csv, ring_count
-from .inverse import export_indicator_csv, export_inversion_trace_csv
+from .geometry import ring_count
 from .lapack import pin_one_thread, work_buffer_mb
 from .scene import build_scene, load_config
-from .solver import (
-    eval_farfields,
-    export_density_csv,
-    export_farfield_csv,
-    solve_scattered,
-    system_mb,
-)
+from .solver import eval_farfields, solve_scattered, system_mb
 from .suites import (
     refined_target_h,
     require_invertible,
@@ -72,19 +66,6 @@ def _print_results(results) -> bool:
         print(res.line())
         ok &= res.passed
     return ok
-
-
-def _write_json(path: Path, scene_hash: str, payload: dict) -> None:
-    """One JSON object, the scene hash its first key."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"scene_hash": scene_hash, **payload}, fh, indent=2)
-
-
-def _write_jsonl(path: Path, scene_hash: str, records) -> None:
-    """One JSON object per line, the scene hash the last key of each."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps({**record, "scene_hash": scene_hash}) + "\n")
 
 
 def _largest_system(subcommand: str, scene) -> tuple[int, int]:
@@ -194,58 +175,54 @@ def _dispatch(subcommand: str, scene, out_dir: Path) -> bool:
         return _run_forward(scene, out_dir)
     if subcommand == "identities":
         results, reports = run_identities(scene)
-        _write_jsonl(out_dir / "identities.jsonl", scene.scene_hash,
-                     [r.record() for r in reports])
+        artifacts.write_jsonl([r.record() for r in reports], out_dir / "identities.jsonl",
+                              scene.scene_hash)
         return _print_results(results)
     if subcommand == "maxwell":
         results = run_maxwell(scene)
-        _write_jsonl(out_dir / "maxwell.jsonl", scene.scene_hash,
-                     [{"name": r.name, "value": r.value, "passed": r.passed} for r in results])
+        records = [{"name": r.name, "value": r.value, "passed": r.passed} for r in results]
+        artifacts.write_jsonl(records, out_dir / "maxwell.jsonl", scene.scene_hash)
         return _print_results(results)
     if subcommand == "indicator":
         results, descend, offline = run_indicator(scene)
-        export_indicator_csv(descend, out_dir / "indicator_descend.csv",
-                             scene_hash=scene.scene_hash)
-        export_indicator_csv(offline, out_dir / "indicator_offline.csv",
-                             scene_hash=scene.scene_hash)
+        artifacts.write_indicator(descend, out_dir / "indicator_descend.csv", scene.scene_hash)
+        artifacts.write_indicator(offline, out_dir / "indicator_offline.csv", scene.scene_hash)
         return _print_results(results)
     if subcommand == "invert":
         results, recovered, report = run_invert(scene)
-        export_inversion_trace_csv(report, out_dir / "inversion_trace.csv",
-                                   scene_hash=scene.scene_hash)
-        _write_json(out_dir / "inversion_result.json", scene.scene_hash, {
+        artifacts.write_inversion_trace(report, out_dir / "inversion_trace.csv", scene.scene_hash)
+        artifacts.write_json({
             "recovered": recovered.values.tolist(),
             "iterations": report.iterations,
             "stop_reason": report.stop_reason,
             "regularization": report.regularization,
-        })
+        }, out_dir / "inversion_result.json", scene.scene_hash)
         return _print_results(results)
     if subcommand == "convergence":
         results = run_convergence(scene)
-        _write_json(out_dir / "convergence.json", scene.scene_hash, {
-            "value": results[0].value,
-            "passed": results[0].passed,
-        })
+        artifacts.write_json({"value": results[0].value, "passed": results[0].passed},
+                             out_dir / "convergence.json", scene.scene_hash)
         return _print_results(results)
     raise ValueError(f"unknown subcommand {subcommand!r}")
 
 
 def _run_forward(scene, out_dir: Path) -> bool:
-    export_mesh_csv(scene.mesh, out_dir / "mesh.csv", scene_hash=scene.scene_hash)
+    artifacts.write_mesh(scene.mesh, out_dir / "mesh.csv", scene.scene_hash)
     solves = [solve_scattered(scene.mesh, inc) for inc in scene.incidents]
-    patterns = eval_farfields([density for density, _ in solves], scene.grid)
+    densities = [density for density, _ in solves]
+    artifacts.write_farfields(densities, scene.grid, eval_farfields(densities, scene.grid),
+                              [out_dir / f"farfield_{i:03d}.csv" for i in range(len(solves))],
+                              scene.scene_hash)
     report_payload = []
-    for i, ((density, report), pattern) in enumerate(zip(solves, patterns)):
-        export_farfield_csv(density, scene.grid, pattern, out_dir / f"farfield_{i:03d}.csv",
-                            scene_hash=scene.scene_hash)
-        export_density_csv(density, out_dir / f"density_{i:03d}.csv",
-                           scene_hash=scene.scene_hash)
+    for i, (density, report) in enumerate(solves):
+        artifacts.write_density(density, out_dir / f"density_{i:03d}.csv", scene.scene_hash)
         report_payload.append({"incident": i, **dataclasses.asdict(report)})
         print(
             f"[PASS] forward[{i}]: residual {report.residual_norm:.3e} "
             f"(<= 1e-10 * rhs norm {report.rhs_norm:.3e})"
         )
-    _write_json(out_dir / "solve_report.json", scene.scene_hash, {"solves": report_payload})
+    artifacts.write_json({"solves": report_payload}, out_dir / "solve_report.json",
+                         scene.scene_hash)
     return True
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DippingProfileError, SceneConfigError
-from .util import as_float, as_mapping, check_keys, require, scene_comment, write_table
+from .util import as_float, as_mapping, check_keys, require
 
 PROFILE_KINDS = ("zero", "gaussian_bump", "piecewise_linear")
 
@@ -485,18 +485,3 @@ def reflect_linear(v: np.ndarray, plane: Plane) -> np.ndarray:
     n = plane.normal
     return v - 2.0 * np.multiply.outer(v @ n, n)
 
-
-def export_mesh_csv(mesh: PanelMesh, path, scene_hash: str | None = None) -> None:
-    """Panel table: panel_id, v1x..v3z, cx, cy, cz, area, nx, ny, nz."""
-    header = (
-        ["panel_id"]
-        + [f"v{i}{c}" for i in (1, 2, 3) for c in "xyz"]
-        + ["cx", "cy", "cz", "area", "nx", "ny", "nz"]
-    )
-    pv = mesh.panel_vertices().reshape(mesh.n_panels, 9)
-    write_table(
-        path,
-        scene_comment(scene_hash),
-        header,
-        [np.arange(mesh.n_panels), *pv.T, *mesh.centroids.T, mesh.areas, *mesh.normals.T],
-    )

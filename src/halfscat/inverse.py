@@ -18,7 +18,6 @@ from .errors import InverseCrimeError, ProximityError
 from .geometry import SurfaceProfile, build_profile, mesh_perturbation, ring_count
 from .incident import IncidentWave, PointSource
 from .solver import DirectionGrid, eval_farfield, eval_farfields, eval_scattered, solve_scattered
-from .util import scene_comment, write_table
 
 PL_GRID_SIZE = 7  # node grid for the piecewise-linear parametrization
 # free nodes: the plus-stencil around the center of the 7x7 grid
@@ -293,18 +292,3 @@ def residual_separation(
     fa, fb = patterns
     return float(np.linalg.norm(fa - fb) / np.linalg.norm(fa))
 
-
-def export_indicator_csv(indicator: IndicatorMap, path, scene_hash: str | None = None) -> None:
-    write_table(path, scene_comment(scene_hash), ["x", "y", "z", "I"],
-                [*indicator.points.T, indicator.values])
-
-
-def export_inversion_trace_csv(report: InversionReport, path,
-                               scene_hash: str | None = None) -> None:
-    params = report.params_trace
-    write_table(
-        path,
-        scene_comment(scene_hash),
-        ["iter", "objective"] + [f"p{i}" for i in range(params.shape[1])],
-        [np.arange(len(report.objective_trace)), report.objective_trace, *params.T],
-    )

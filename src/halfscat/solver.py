@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 # numpy imports its fft module, and maps its library, on first use; imported
@@ -35,7 +34,7 @@ from .kernels import (
     farfield_matrix,
     representation,
 )
-from .util import even_slices, memory_budget_mb, scene_comment, text_column, write_table
+from .util import even_slices, memory_budget_mb
 
 SOLVE_RESIDUAL_RTOL = 1e-10
 CONDITION_LIMIT = 1e8
@@ -123,12 +122,6 @@ class DirectionGrid:
     @property
     def size(self) -> int:
         return self.directions.shape[0]
-
-    @cached_property
-    def text_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """theta and phi formatted once (``text_column``), for every far-field
-        table written on this grid."""
-        return text_column(self.theta), text_column(self.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -593,25 +586,3 @@ def eval_farfield(density: LayerDensity, grid: DirectionGrid) -> np.ndarray:
     row of ``eval_farfields``."""
     return eval_farfields([density], grid)[0]
 
-
-def export_farfield_csv(density: LayerDensity, grid: DirectionGrid, values: np.ndarray, path,
-                        scene_hash: str = "") -> None:
-    """CSV with a provenance header line (the density's k, formulation and
-    mesh h), then theta, phi, re, im rows of the far field ``values`` on
-    ``grid``."""
-    if np.shape(values) != (grid.size,):
-        raise ValueError(f"far field of shape {np.shape(values)} "
-                         f"on a grid of {grid.size} directions")
-    write_table(
-        path,
-        f"k={density.k:.17g} bc={density.bc.value} mesh_h={density.mesh.h:.17g} "
-        f"scene={scene_hash}",
-        ["theta", "phi", "re", "im"],
-        [*grid.text_columns, values.real, values.imag],
-    )
-
-
-def export_density_csv(density: LayerDensity, path, scene_hash: str | None = None) -> None:
-    c = density.coefficients
-    write_table(path, scene_comment(scene_hash), ["panel_id", "re", "im"],
-                [np.arange(c.size), c.real, c.imag])

@@ -1,11 +1,10 @@
 """Small shared helpers: config field checks, canonical JSON, content hashing,
-the CSV table writer, the even cut of an index range into pieces and the
-memory budget of the process."""
+the even cut of an index range into pieces and the memory budget of the
+process."""
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import resource
@@ -78,41 +77,6 @@ def _jsonable(x):
 
 def content_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
-
-
-def scene_comment(scene_hash: str | None) -> str | None:
-    """Table comment carrying the scene hash; None (no hash) writes no comment."""
-    return None if scene_hash is None else f"scene={scene_hash}"
-
-
-def write_table(path, comment: str | None, header: list[str], columns) -> None:
-    """The one CSV artifact format: an optional ``# comment`` line ending in
-    ``\\n``, then the header and one row per entry of the equal-length
-    ``columns``, each ending in ``\\r\\n``.  Integer columns print as
-    integers, text columns (``text_column``) as they are, every other
-    column with ``%.17g``."""
-    columns = [np.asarray(c) for c in columns]
-    row = ",".join(_row_format(c) for c in columns)
-    values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\r\n")
-        fh.write((row + "\r\n") * len(columns[0]) % values)
-
-
-def _row_format(column: np.ndarray) -> str:
-    if np.issubdtype(column.dtype, np.integer):
-        return "%d"
-    return "%s" if column.dtype.kind == "U" else "%.17g"
-
-
-def text_column(values) -> np.ndarray:
-    """A float column formatted once as ``write_table`` formats it, read-only,
-    for a column that several tables share: each table then copies the text."""
-    col = np.array(["%.17g" % v for v in np.asarray(values, dtype=float).tolist()])
-    col.setflags(write=False)
-    return col
 
 
 def even_slices(n: int, budget: int) -> list[slice]:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import halfscat.geometry as geometry_mod
+from halfscat import artifacts
 from halfscat.errors import DippingProfileError, SceneConfigError
 from halfscat.geometry import (
     GROUND_PLANE,
     Plane,
     SurfaceProfile,
     build_profile,
-    export_mesh_csv,
     mesh_perturbation,
     mirror,
     ring_count,
@@ -237,7 +237,7 @@ class TestMesh:
     def test_export_csv(self, tmp_path):
         mesh = mesh_perturbation(build_profile({"kind": "zero", "R": 1.0}), 0.25)
         path = tmp_path / "mesh.csv"
-        export_mesh_csv(mesh, path, scene_hash="cafe01")
+        artifacts.write_mesh(mesh, path, "cafe01")
         lines = path.read_text().splitlines()
         assert lines[0] == "# scene=cafe01"
         header = lines[1].split(",")

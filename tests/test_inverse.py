@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from halfscat import artifacts
 from halfscat.errors import InverseCrimeError, ProximityError
 from halfscat.geometry import build_profile
 from halfscat.incident import BoundaryCondition, PlaneWave
@@ -214,13 +215,11 @@ class TestInvertProfile:
             invert_profile(np.zeros(7), [PW], GRID, cfg, ProfileParams.bump(0.1, 0.3))
 
     def test_trace_export_schema(self, tmp_path):
-        from halfscat.inverse import export_inversion_trace_csv
-
         truth = ProfileParams.bump(0.3, 0.25)
         data = forward_map(truth, [PW], GRID, 0.125)
         _, report = invert_profile(data, [PW], GRID, InversionConfig(target_h=0.125), truth)
         path = tmp_path / "trace.csv"
-        export_inversion_trace_csv(report, path, scene_hash="feed42")
+        artifacts.write_inversion_trace(report, path, "feed42")
         lines = path.read_text().splitlines()
         assert lines[0] == "# scene=feed42"
         assert lines[1] == "iter,objective,p0,p1"

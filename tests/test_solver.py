@@ -11,6 +11,7 @@ import halfscat.kernels as kernels_mod
 import halfscat.lapack as lapack_mod
 import halfscat.solver as solver_mod
 from conftest import dense_matrix, helmholtz_rel_residual
+from halfscat import artifacts
 from halfscat.errors import MemoryBudgetError, ProximityError, ResonanceError
 from halfscat.geometry import build_profile, mesh_perturbation
 from halfscat.identities import fit_loglog_slope, radiation_residuals
@@ -21,7 +22,6 @@ from halfscat.solver import (
     eval_farfield,
     eval_farfields,
     eval_scattered,
-    export_farfield_csv,
     get_factorization,
     solve_scattered,
 )
@@ -458,10 +458,11 @@ class TestFarField:
         density, _ = solve_scattered(small_bump_mesh, pw)
         grid = DirectionGrid.make(5, 4)
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_farfield_csv(density, grid, eval_farfield(density, grid), f1, scene_hash="beef07")
+        artifacts.write_farfields([density], grid, eval_farfields([density], grid), [f1], "beef07")
         solver_mod.clear_factorization_cache()
         density2, _ = solve_scattered(small_bump_mesh, pw)
-        export_farfield_csv(density2, grid, eval_farfield(density2, grid), f2, "beef07")
+        artifacts.write_farfields([density2], grid, eval_farfields([density2], grid), [f2],
+                                  "beef07")
         assert f1.read_bytes() == f2.read_bytes()
         header = f1.read_text().splitlines()[0]
         assert header == f"# k=2 bc=dirichlet mesh_h={small_bump_mesh.h:.17g} scene=beef07"

@@ -1,23 +1,23 @@
-"""Exact bytes of the five CSV tables on tiny hand-built inputs.
+"""Exact bytes of the five CSV tables on tiny hand-built inputs, and the
+rule that ``artifacts`` is the one module that writes files.
 
-Each table is an optional ``# ...`` comment line ending in ``\\n``, then a
+Each table is a ``# ...scene=<hash>`` comment line ending in ``\\n``, then a
 header and rows ending in ``\\r\\n``; integer columns print as integers and
 every other column with ``%.17g`` (so ``-0.0`` prints as ``-0`` and a
 subnormal keeps all 17 digits).
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from halfscat.geometry import PanelMesh, export_mesh_csv
+from halfscat import artifacts
+from halfscat.geometry import PanelMesh
 from halfscat.incident import BoundaryCondition
-from halfscat.inverse import (
-    IndicatorMap,
-    InversionReport,
-    export_indicator_csv,
-    export_inversion_trace_csv,
-)
-from halfscat.solver import DirectionGrid, LayerDensity, export_density_csv, export_farfield_csv
+from halfscat.inverse import IndicatorMap, InversionReport
+from halfscat.solver import DirectionGrid, LayerDensity
 
 SUB = 5e-324  # smallest subnormal double
 
@@ -42,12 +42,13 @@ def test_farfield_bytes(tmp_path):
         directions=np.zeros((2, 3)), theta=np.array([0.0, 1.5]), phi=np.array([SUB, 0.25])
     )
     density = LayerDensity(np.zeros(1), BoundaryCondition.NEUMANN, 2.5, _mesh(1, 0.125))
-    values = np.array([complex(-0.0, 1 / 3), complex(1e300, -SUB)])
+    values = np.array([[complex(-0.0, 1 / 3), complex(1e300, -SUB)]])
     path = tmp_path / "f.csv"
-    for wrong in (values[:1], values[None, :]):
+    for wrong in (values[0], values[:, :1], np.vstack([values, values])):
         with pytest.raises(ValueError, match="on a grid of 2 directions"):
-            export_farfield_csv(density, grid, wrong, path)
-    export_farfield_csv(density, grid, values, path)
+            artifacts.write_farfields([density], grid, wrong, [path], "")
+    assert not path.exists()
+    artifacts.write_farfields([density], grid, values, [path], "")
     assert path.read_bytes() == (
         b"# k=2.5 bc=neumann mesh_h=0.125 scene=\n"
         b"theta,phi,re,im\r\n"
@@ -62,12 +63,10 @@ def density():
     return LayerDensity(coeffs, BoundaryCondition.DIRICHLET, 2.0, _mesh(3, 0.25))
 
 
-@pytest.mark.parametrize(
-    "scene_hash, comment", [(None, b""), ("", b"# scene=\n"), ("ab12", b"# scene=ab12\n")]
-)
+@pytest.mark.parametrize("scene_hash, comment", [("", b"# scene=\n"), ("ab12", b"# scene=ab12\n")])
 def test_density_bytes(tmp_path, density, scene_hash, comment):
     path = tmp_path / "d.csv"
-    export_density_csv(density, path, scene_hash=scene_hash)
+    artifacts.write_density(density, path, scene_hash)
     assert path.read_bytes() == comment + (
         b"panel_id,re,im\r\n"
         b"0,-0,4.9406564584124654e-324\r\n"
@@ -88,7 +87,7 @@ def test_mesh_bytes(tmp_path):
         support_radius=1.0,
     )
     path = tmp_path / "m.csv"
-    export_mesh_csv(mesh, path, scene_hash="")
+    artifacts.write_mesh(mesh, path, "")
     assert path.read_bytes() == (
         b"# scene=\n"
         b"panel_id,v1x,v1y,v1z,v2x,v2y,v2z,v3x,v3y,v3z,cx,cy,cz,area,nx,ny,nz\r\n"
@@ -102,7 +101,7 @@ def test_indicator_bytes(tmp_path):
         points=np.array([[0.0, -0.0, 0.2], [SUB, 1e-5, 2.0]]), values=np.array([1 / 7, 12.0])
     )
     path = tmp_path / "i.csv"
-    export_indicator_csv(indicator, path, scene_hash="")
+    artifacts.write_indicator(indicator, path, "")
     assert path.read_bytes() == (
         b"# scene=\n"
         b"x,y,z,I\r\n"
@@ -111,7 +110,7 @@ def test_indicator_bytes(tmp_path):
     )
 
 
-@pytest.mark.parametrize("scene_hash, comment", [(None, b""), ("feed42", b"# scene=feed42\n")])
+@pytest.mark.parametrize("scene_hash, comment", [("feed42", b"# scene=feed42\n")])
 def test_inversion_trace_bytes(tmp_path, scene_hash, comment):
     report = InversionReport(
         iterations=1,
@@ -121,9 +120,63 @@ def test_inversion_trace_bytes(tmp_path, scene_hash, comment):
         regularization=1e-4,
     )
     path = tmp_path / "t.csv"
-    export_inversion_trace_csv(report, path, scene_hash=scene_hash)
+    artifacts.write_inversion_trace(report, path, scene_hash)
     assert path.read_bytes() == comment + (
         b"iter,objective,p0,p1\r\n"
         b"0,0.5,0.14999999999999999,0.40000000000000002\r\n"
         b"1,4.9406564584124654e-324,-0,1e+20\r\n"
     )
+
+
+def test_farfields_one_table_per_density(tmp_path):
+    """Three densities write three tables, each the bytes of a one-density
+    call on its row; values of another shape, or another number of paths,
+    are refused before any file is written."""
+    grid = DirectionGrid.make(3, 2)
+    mesh = _mesh(2, 0.25)
+    densities = [LayerDensity(np.zeros(2), BoundaryCondition.DIRICHLET, k, mesh)
+                 for k in (1.0, 2.0, 2.5)]
+    values = np.random.default_rng(3).normal(size=(3, grid.size, 2)) @ [1, 1j]
+    paths = [tmp_path / f"farfield_{i:03d}.csv" for i in range(3)]
+    artifacts.write_farfields(densities, grid, values, paths, "c0ffee")
+    for i, (density, path) in enumerate(zip(densities, paths)):
+        one = tmp_path / f"one_{i}.csv"
+        artifacts.write_farfields([density], grid, values[i:i + 1], [one], "c0ffee")
+        assert path.read_bytes() == one.read_bytes()
+        assert path.read_bytes().startswith(f"# k={density.k:.17g} bc=dirichlet ".encode())
+    refused = tmp_path / "refused"
+    for wrong in (values[:2], values[:, :-1], values[0]):
+        with pytest.raises(ValueError, match="on a grid of 6 directions"):
+            artifacts.write_farfields(densities, grid, wrong, [refused] * 3, "c0ffee")
+    for n in (2, 4):
+        with pytest.raises(ValueError, match=f"{n} paths for 3 far fields"):
+            artifacts.write_farfields(densities, grid, values, [refused] * n, "c0ffee")
+    assert not refused.exists()
+
+
+def _file_writes(path):
+    """Lines that call ``open`` in a write mode (or a mode that is not a
+    constant), ``write_text`` or ``write_bytes``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            # open(file, mode) and Path.open(mode)
+            modes = [*node.args[1 if isinstance(func, ast.Name) else 0:][:1],
+                     *(kw.value for kw in node.keywords if kw.arg == "mode")]
+            if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                   or set(m.value) & set("wax+") for m in modes):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_artifacts_writes_files():
+    sources = sorted(Path(artifacts.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    found = {p.name: lines for p in sources if (lines := _file_writes(p))}
+    assert found.keys() == {"artifacts.py"}
