@@ -25,6 +25,7 @@ from .solver import eval_farfields, solve_scattered, system_mb
 from .suites import (
     refined_target_h,
     require_invertible,
+    require_scatterer,
     run_convergence,
     run_identities,
     run_indicator,
@@ -79,6 +80,8 @@ def _largest_system(subcommand: str, scene) -> tuple[int, int]:
     R = scene.profile.support_radius
     if subcommand in ("identities", "convergence"):
         panels = 6 * ring_count(R, refined_target_h(scene)) ** 2
+    elif subcommand == "indicator":
+        require_scatterer(scene)
     elif subcommand == "invert":
         require_invertible(scene)
         panels = max(panels, 6 * ring_count(R, scene.config.invert["data_target_h"]) ** 2)

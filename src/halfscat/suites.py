@@ -302,9 +302,18 @@ def run_maxwell(scene):
     return results
 
 
+def require_scatterer(scene) -> None:
+    """The indicator compares the field along its probe lines, and a surface
+    of peak height 0 scatters nothing: every ratio would be 0/0."""
+    if scene.profile.peak_height == 0:
+        raise SceneConfigError("profile", "indicator experiment needs a surface that rises "
+                               "above the ground plane; a flat one scatters nothing")
+
+
 def run_indicator(scene):
     """Blow-up indicator on a descending line over the apex and a reference
     line far from the perturbation."""
+    require_scatterer(scene)
     n = INDICATOR_SAMPLES
     far = INDICATOR_FAR_FACTOR * scene.mesh.support_radius
     bottom = scene.profile.peak_height + 3.0 * scene.mesh.h
@@ -331,9 +340,14 @@ def run_indicator(scene):
 
 
 def require_invertible(scene) -> None:
-    """The invert experiment recovers gaussian-bump parameters only."""
+    """The invert experiment recovers gaussian-bump parameters only, of a
+    bump with nonzero height: a flat one leaves the Gauss-Newton system
+    singular and the relative error of its height undefined."""
     if scene.profile.kind != "gaussian_bump":
         raise SceneConfigError("profile.kind", "invert experiment needs a gaussian_bump scene")
+    if scene.profile.amplitude == 0:
+        raise SceneConfigError("profile.amplitude", "invert experiment needs a bump of "
+                               "nonzero height; a flat one scatters nothing")
 
 
 def synthesize_invert_data(scene):

@@ -251,6 +251,21 @@ class TestCli:
         assert main(["invert", "--config", flat_config, "--out", str(tmp_path / "inv")]) == 2
         assert capsys.readouterr().err == dry_err
 
+    @pytest.mark.parametrize("verb, field", [("invert", "profile.amplitude"),
+                                             ("indicator", "profile")])
+    def test_flat_bump_refused(self, tmp_path, capsys, verb, field):
+        """A bump of height 0 scatters nothing: the inversion's Gauss-Newton
+        system is singular and the indicator's ratios are 0/0.  Both verbs
+        refuse it as an input error, in the dry run as in the run."""
+        path = write_config(tmp_path, canonical_config(profile={**BUMP, "amplitude": 0.0},
+                                                       mesh={"target_h": 0.25}))
+        assert main([verb, "--config", path, "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: {field}: ") and "flat" in err
+        assert main([verb, "--config", path, "--out", str(tmp_path / verb)]) == 2
+        assert capsys.readouterr().err == err
+        assert list((tmp_path / verb).iterdir()) == []
+
     @pytest.mark.parametrize("data_target_h", [0.07, 0.1])
     def test_dry_run_meshes_only_the_scene(self, tmp_path, capsys, monkeypatch, data_target_h):
         """Every verb's plan sizes its largest system from ring counts, so the
