@@ -3,8 +3,10 @@
 The dipole pair (incident plus reflected) satisfies the perfectly conducting
 condition on the mirror plane by construction; the checks here certify the
 reflection principle, the tangential-field condition, the time-harmonic
-curl equations (against finite differences), and Silver-Mueller decay, all
-with closed-form fields and no boundary-integral machinery.
+curl equations and zero divergence (against central differences: each probe
+point's stencil is evaluated once and serves both curl equations and both
+divergences), and Silver-Mueller decay, all with closed-form fields and no
+boundary-integral machinery.
 """
 
 from __future__ import annotations
@@ -171,38 +173,22 @@ def check_silver_muller(src: DipoleSource, plane: Plane, xhat: np.ndarray) -> Si
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracles (step 1e-4/k, central differences)
+# finite-difference oracle (step 1e-4/k, central differences)
 
-def _fd_jacobian(field, x: np.ndarray, k: float) -> np.ndarray:
-    """Central-difference Jacobian ``J[i, j] = d F_i / d x_j`` of a vector field
-    callable at a single point, with step ``1e-4 / k``."""
+def maxwell_fd_residuals(field, x: np.ndarray, k: float):
+    """Relative residuals of curl E - ikH and curl H + ikE, and the
+    divergences of E and H, at x, for a callable returning E and H stacked
+    as ``(2, 3)``.  All four read the Jacobian ``J[f, i, j] = d F_i / d x_j``
+    of one six-point central-difference stencil and are scaled by k times
+    the field magnitude at x."""
     x = np.asarray(x, dtype=float)
     h = 1e-4 / k
-    J = np.empty((3, 3), dtype=complex)
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        J[:, j] = (field(x + e) - field(x - e)) / (2 * h)
-    return J
-
-
-def fd_curl(field, x: np.ndarray, k: float):
-    """Central-difference curl of a vector field callable at a single point."""
-    J = _fd_jacobian(field, x, k)
-    return np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
-
-
-def fd_divergence(field, x: np.ndarray, k: float) -> complex:
-    J = _fd_jacobian(field, x, k)
-    return J[0, 0] + J[1, 1] + J[2, 2]
-
-
-def maxwell_fd_residuals(E_func, H_func, x: np.ndarray, k: float):
-    """Relative residuals of curl E - ikH and curl H + ikE at x, scaled by
-    k times the local field magnitude."""
-    E = E_func(x)
-    H = H_func(x)
+    J = np.stack([(field(x + e) - field(x - e)) / (2 * h) for e in h * np.eye(3)], axis=-1)
+    E, H = field(x)
     scale = k * max(np.linalg.norm(E), np.linalg.norm(H), 1e-300)
-    r1 = np.linalg.norm(fd_curl(E_func, x, k) - 1j * k * H) / scale
-    r2 = np.linalg.norm(fd_curl(H_func, x, k) + 1j * k * E) / scale
-    return float(r1), float(r2)
+    curl_E, curl_H = np.stack([J[:, 2, 1] - J[:, 1, 2], J[:, 0, 2] - J[:, 2, 0],
+                               J[:, 1, 0] - J[:, 0, 1]], axis=-1)
+    div_E, div_H = J[:, 0, 0] + J[:, 1, 1] + J[:, 2, 2]
+    return (float(np.linalg.norm(curl_E - 1j * k * H) / scale),
+            float(np.linalg.norm(curl_H + 1j * k * E) / scale),
+            float(abs(div_E) / scale), float(abs(div_H) / scale))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import halfscat.maxwell as maxwell_mod
+import halfscat.suites as suites_mod
 from halfscat.errors import SingularityError
 from halfscat.geometry import GROUND_PLANE, Plane, mirror
 from halfscat.kernels import free_space
@@ -11,21 +13,20 @@ from halfscat.maxwell import (
     eval_dipole,
     eval_image_field,
     eval_total_field,
-    fd_curl,
-    fd_divergence,
     maxwell_fd_residuals,
     pec_residual,
 )
+from halfscat.suites import run_maxwell
 
 SRC = DipoleSource(y=(0.2, -0.1, 0.8), p=(1.0, -2.0, 0.5), k=2.0)
 
 
-def _total_E(src, plane):
-    return lambda q: eval_dipole(src, q).E + eval_image_field(src, plane, q).E
-
-
-def _total_H(src, plane):
-    return lambda q: eval_dipole(src, q).H + eval_image_field(src, plane, q).H
+def _EH(evaluate):
+    """E and H of an evaluator stacked as (2, 3), the field the FD oracle takes."""
+    def field(q):
+        sample = evaluate(q)
+        return np.array([sample.E, sample.H])
+    return field
 
 
 def _sample_points(rng, n, avoid, min_dist=0.35):
@@ -41,10 +42,9 @@ def _sample_points(rng, n, avoid, min_dist=0.35):
 class TestDipoleFields:
     def test_maxwell_system_fd_oracle(self):
         rng = np.random.default_rng(41)
-        E = lambda q: eval_dipole(SRC, q).E
-        H = lambda q: eval_dipole(SRC, q).H
+        field = _EH(lambda q: eval_dipole(SRC, q))
         for x in _sample_points(rng, 8, [SRC.y]):
-            r1, r2 = maxwell_fd_residuals(E, H, x, SRC.k)
+            r1, r2, _, _ = maxwell_fd_residuals(field, x, SRC.k)
             assert r1 <= 1e-5 and r2 <= 1e-5
 
     def test_H_is_curl_of_vector_potential(self):
@@ -85,12 +85,10 @@ class TestDipoleFields:
 
     def test_divergence_free(self):
         rng = np.random.default_rng(44)
-        E = lambda q: eval_dipole(SRC, q).E
-        H = lambda q: eval_dipole(SRC, q).H
+        field = _EH(lambda q: eval_dipole(SRC, q))
         for x in _sample_points(rng, 5, [SRC.y]):
-            scale = SRC.k * max(np.linalg.norm(E(x)), np.linalg.norm(H(x)))
-            assert abs(fd_divergence(E, x, SRC.k)) / scale <= 1e-5
-            assert abs(fd_divergence(H, x, SRC.k)) / scale <= 1e-5
+            _, _, div_E, div_H = maxwell_fd_residuals(field, x, SRC.k)
+            assert div_E <= 1e-5 and div_H <= 1e-5
 
     def test_validation_and_singularity(self):
         with pytest.raises(ValueError):
@@ -111,11 +109,10 @@ class TestImageField:
 
     def test_image_field_satisfies_maxwell(self):
         rng = np.random.default_rng(46)
-        E = lambda q: eval_image_field(SRC, GROUND_PLANE, q).E
-        H = lambda q: eval_image_field(SRC, GROUND_PLANE, q).H
+        field = _EH(lambda q: eval_image_field(SRC, GROUND_PLANE, q))
         image_point = SRC.y * np.array([1, 1, -1])
         for x in _sample_points(rng, 5, [SRC.y, image_point]):
-            r1, r2 = maxwell_fd_residuals(E, H, x, SRC.k)
+            r1, r2, _, _ = maxwell_fd_residuals(field, x, SRC.k)
             assert r1 <= 1e-5 and r2 <= 1e-5
 
     def test_displaced_mirror_plane(self):
@@ -166,12 +163,14 @@ class TestReflectionPrinciple:
     def test_duality_swap(self):
         # (E, H) -> (H, -E) maps one curl equation onto the other
         rng = np.random.default_rng(50)
-        E = _total_E(SRC, GROUND_PLANE)
-        H = _total_H(SRC, GROUND_PLANE)
-        dual_E = H
-        dual_H = lambda q: -E(q)
+        total = _EH(lambda q: eval_total_field(SRC, GROUND_PLANE, q))
+
+        def dual(q):
+            E, H = total(q)
+            return np.array([H, -E])
+
         for x in _sample_points(rng, 4, [SRC.y, SRC.y * np.array([1, 1, -1])]):
-            r1, r2 = maxwell_fd_residuals(dual_E, dual_H, x, SRC.k)
+            r1, r2, _, _ = maxwell_fd_residuals(dual, x, SRC.k)
             assert r1 <= 1e-5 and r2 <= 1e-5
 
 
@@ -200,3 +199,22 @@ class TestSilverMuller:
     def test_downward_ray_rejected(self):
         with pytest.raises(ValueError):
             check_silver_muller(SRC, GROUND_PLANE, np.array([0.0, 0.0, -1.0]))
+
+
+class TestMaxwellSuite:
+    def test_each_probe_stencil_is_evaluated_once(self, canonical_dirichlet, monkeypatch):
+        """run_maxwell evaluates the total field once for the plane samples,
+        twice for the reflection pairs, once for the Silver-Mueller ray and
+        7 times at each of its 20 probe points: the centre and six stencil
+        points give both curl residuals and both divergences."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_total_field(*args)
+
+        monkeypatch.setattr(maxwell_mod, "eval_total_field", counted)
+        monkeypatch.setattr(suites_mod, "eval_total_field", counted)
+        results = run_maxwell(canonical_dirichlet)
+        assert all(r.passed for r in results)
+        assert len(calls) == 4 + 20 * 7
