@@ -73,7 +73,8 @@ def _largest_system(subcommand: str, scene) -> tuple[int, int]:
     """Panels and sector count of the largest collocation system the verb
     factors; the factorization cache holds one system, so this bounds its
     memory.  The disc grid of n rings has 6 n^2 panels, so no mesh but the
-    scene's is built."""
+    scene's is built.  Raises the verb's refusals of the scene, which the
+    dry run and the run share."""
     if subcommand == "maxwell":
         return 0, 1
     panels = scene.mesh.n_panels
@@ -123,8 +124,10 @@ def _run(args) -> int:
 
     t0 = time.perf_counter()
     try:
+        # the dry run's refusals come before the run writes anything
+        system = _largest_system(args.subcommand, scene)
         if args.dry_run:
-            _print_plan(args, scene)
+            _print_plan(args, scene, system)
             return 0
         args.out.mkdir(parents=True, exist_ok=True)
         ok = _dispatch(args.subcommand, scene, args.out)
@@ -139,8 +142,8 @@ def _run(args) -> int:
     return 0 if ok else 1
 
 
-def _print_plan(args, scene) -> None:
-    panels, sectors = _largest_system(args.subcommand, scene)
+def _print_plan(args, scene, system: tuple[int, int]) -> None:
+    panels, sectors = system
     stored_mb = system_mb(panels, sectors)
     budget = memory_budget_mb()
     # what get_factorization checks, with the work buffer of the run's first LU

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SceneConfigError
-from .geometry import GROUND_PLANE, mesh_perturbation
+from .geometry import GROUND_PLANE, mesh_perturbation, ring_count
 from .identities import (
     IdentityReport,
     SlopeReport,
@@ -333,12 +333,20 @@ def run_indicator(scene):
 def require_invertible(scene) -> None:
     """The invert experiment recovers gaussian-bump parameters only, of a
     bump with nonzero height: a flat one leaves the Gauss-Newton system
-    singular and the relative error of its height undefined."""
+    singular and the relative error of its height undefined.  Its data mesh
+    must have another ring count than the inversion mesh, or the data were
+    made by the very discretization that inverts them (the inverse crime)."""
     if scene.profile.kind != "gaussian_bump":
         raise SceneConfigError("profile.kind", "invert experiment needs a gaussian_bump scene")
     if scene.profile.amplitude == 0:
         raise SceneConfigError("profile.amplitude", "invert experiment needs a bump of "
                                "nonzero height; a flat one scatters nothing")
+    R = scene.profile.support_radius
+    rings = ring_count(R, scene.config.mesh["target_h"])
+    if ring_count(R, scene.config.invert["data_target_h"]) == rings:
+        raise SceneConfigError("invert.data_target_h", "synthetic data would be generated on "
+                               f"the same mesh discretization ({rings} rings) as the inversion "
+                               "mesh of mesh.target_h; choose one with another ring count")
 
 
 def synthesize_invert_data(scene):

@@ -136,6 +136,12 @@ def test_data_target_h_must_be_positive(h):
         InversionConfig(data_target_h=h)
 
 
+@pytest.mark.parametrize("field", ["max_iterations", "target_h"])
+def test_iterations_and_target_h_must_be_positive(field):
+    with pytest.raises(ValueError, match=f"{field} must be "):
+        InversionConfig(**{field: 0})
+
+
 class TestInvertProfile:
     def test_init_at_truth_is_fixed_point(self):
         # data generated on the inversion mesh itself (data_target_h omitted) so

@@ -251,20 +251,29 @@ class TestCli:
         assert main(["invert", "--config", flat_config, "--out", str(tmp_path / "inv")]) == 2
         assert capsys.readouterr().err == dry_err
 
-    @pytest.mark.parametrize("verb, field", [("invert", "profile.amplitude"),
-                                             ("indicator", "profile")])
-    def test_flat_bump_refused(self, tmp_path, capsys, verb, field):
-        """A bump of height 0 scatters nothing: the inversion's Gauss-Newton
+    @pytest.mark.parametrize("verb, field, profile, target_h", [
+        pytest.param("invert", "profile.amplitude", {**BUMP, "amplitude": 0.0}, 0.25,
+                     id="invert-profile.amplitude"),
+        pytest.param("indicator", "profile", {**BUMP, "amplitude": 0.0}, 0.25,
+                     id="indicator-profile"),
+        pytest.param("indicator", "profile", {"kind": "zero", "R": 1.0}, 0.25,
+                     id="indicator-zero"),
+        pytest.param("indicator", "profile", {**GRID, "heights": [[0.0] * 7] * 7}, 0.125,
+                     id="indicator-piecewise_linear"),
+    ])
+    def test_flat_bump_refused(self, tmp_path, capsys, verb, field, profile, target_h):
+        """A surface of height 0 scatters nothing: the inversion's Gauss-Newton
         system is singular and the indicator's ratios are 0/0.  Both verbs
-        refuse it as an input error, in the dry run as in the run."""
-        path = write_config(tmp_path, canonical_config(profile={**BUMP, "amplitude": 0.0},
-                                                       mesh={"target_h": 0.25}))
+        refuse it as an input error, in the dry run as in the run, which
+        writes nothing."""
+        path = write_config(tmp_path, canonical_config(profile=profile,
+                                                       mesh={"target_h": target_h}))
         assert main([verb, "--config", path, "--dry-run"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid config: {field}: ") and "flat" in err
         assert main([verb, "--config", path, "--out", str(tmp_path / verb)]) == 2
         assert capsys.readouterr().err == err
-        assert list((tmp_path / verb).iterdir()) == []
+        assert not (tmp_path / verb).exists()
 
     @pytest.mark.parametrize("data_target_h", [0.07, 0.1])
     def test_dry_run_meshes_only_the_scene(self, tmp_path, capsys, monkeypatch, data_target_h):
@@ -519,13 +528,35 @@ class TestCli:
         assert code == 1
         assert "[FAIL] indicator_blowup_ratio: " in capsys.readouterr().out
 
-    def test_invert_refuses_matching_meshes(self, tmp_path, capsys):
+    def test_invert_refuses_matching_meshes(self, tmp_path, capsys, monkeypatch):
+        """Data meshed with the inversion's ring count (the inverse crime) are
+        refused as an input error before any solve, in the dry run as in the
+        run, which writes nothing."""
         cfg = canonical_config(mesh={"target_h": 0.125})
         cfg["invert"] = {"init": [0.15, 0.4], "data_target_h": 0.125, "noise_level": 0.01}
         path = write_config(tmp_path, cfg)
+        monkeypatch.setattr(suites_mod, "forward_map", None)  # synthesizing the data fails
+        assert main(["invert", "--config", path, "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: invert.data_target_h: ")
+        assert "same mesh discretization (8 rings)" in err
         code = main(["invert", "--config", path, "--out", str(tmp_path / "inv")])
         assert code == 2
-        assert "same mesh discretization" in capsys.readouterr().err
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "inv").exists()
+
+    def test_invalid_scene_exit_2(self, tmp_path, capsys):
+        """A config that validates but describes no scene (a point source
+        under the bump) exits 2, in the dry run as in the run."""
+        path = write_config(tmp_path, canonical_config(incident={"type": "point",
+                                                                 "z": [0.0, 0.0, 0.1]}))
+        assert main(["forward", "--config", path, "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: invalid scene: incidents[0].z: point source must lie above "
+                       "the surface\n")
+        assert main(["forward", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "o").exists()
 
     def test_forward_multiple_incidents(self, tmp_path, capsys, monkeypatch):
         cfg = canonical_config(mesh={"target_h": 0.18})
