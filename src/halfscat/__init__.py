@@ -2,13 +2,10 @@
 plane, plus the electromagnetic image-field checks that go with it."""
 
 from .geometry import (
-    GROUND_PLANE,
     PanelMesh,
-    Plane,
     SurfaceProfile,
     build_profile,
     mesh_perturbation,
-    mirror,
 )
 from .incident import (
     IncidentWave,
@@ -45,11 +42,9 @@ __all__ = [
     "BoundaryCondition",
     "DirectionGrid",
     "GreenKernel",
-    "GROUND_PLANE",
     "IncidentWave",
     "LayerDensity",
     "PanelMesh",
-    "Plane",
     "PlaneWave",
     "PointSource",
     "SolveReport",
@@ -69,7 +64,6 @@ __all__ = [
     "grad_plane_pair",
     "grad_point_pair",
     "mesh_perturbation",
-    "mirror",
     "solve_scattered",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Locally perturbed ground-plane geometry: height profiles, panel meshes, mirrors.
+"""Locally perturbed ground-plane geometry: height profiles and panel meshes.
 
 The scattering surface is the graph ``x3 = f(x1, x2)`` of a Lipschitz height
 function supported in the disc ``|x~| <= R``; outside that disc the surface is
@@ -438,50 +438,4 @@ def mesh_perturbation(profile: SurfaceProfile, target_h: float) -> PanelMesh:
         support_radius=R,
         sectors=sectors,
     )
-
-
-@dataclass(frozen=True)
-class Plane:
-    """Oriented plane given by a point on it and a unit normal."""
-
-    point: np.ndarray
-    normal: np.ndarray
-
-    def __init__(self, point, normal):
-        point = np.asarray(point, dtype=float).reshape(3)
-        normal = np.asarray(normal, dtype=float).reshape(3)
-        nrm = np.linalg.norm(normal)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise ValueError("plane normal must be nonzero and finite")
-        normal = normal / nrm
-        point.setflags(write=False)
-        normal.setflags(write=False)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "normal", normal)
-
-    @classmethod
-    def from_graph_coeffs(cls, A: float, B: float, C: float) -> "Plane":
-        """Plane of the tilted facet x3 = A*x1 + B*x2 + C."""
-        return cls(point=(0.0, 0.0, C), normal=(-A, -B, 1.0))
-
-
-GROUND_PLANE = Plane(point=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0))
-
-
-def mirror(x: np.ndarray, plane: Plane = GROUND_PLANE) -> np.ndarray:
-    """Mirror image of x across the plane (involutive isometry).
-
-    For the ground plane this is exactly (x1, x2, -x3)."""
-    x = np.asarray(x, dtype=float)
-    n = plane.normal
-    dist = (x - plane.point) @ n
-    return x - 2.0 * np.multiply.outer(dist, n)
-
-
-def reflect_linear(v: np.ndarray, plane: Plane) -> np.ndarray:
-    """Apply the linear part of the plane reflection (the map through the
-    parallel plane containing the origin) to vectors v of shape (..., 3)."""
-    v = np.asarray(v)
-    n = plane.normal
-    return v - 2.0 * np.multiply.outer(v @ n, n)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SceneConfigError
-from .geometry import GROUND_PLANE, mesh_perturbation, ring_count
+from .geometry import mesh_perturbation, ring_count
 from .identities import (
     IdentityReport,
     SlopeReport,
@@ -255,7 +255,7 @@ def run_maxwell(scene):
     ang = rng.uniform(0, 2 * np.pi, size=200)
     rad = 3.0 * np.sqrt(rng.uniform(0, 1, size=200))
     plane_pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), np.zeros(200)])
-    pec = pec_residual(src, GROUND_PLANE, plane_pts)
+    pec = pec_residual(src, plane_pts)
     results.append(at_most("pec_tangential", pec, TOLERANCES.pec,
                            "relative tangential residual <= {:g} at 200 plane samples"))
 
@@ -263,13 +263,13 @@ def run_maxwell(scene):
     box[:, 2] = np.abs(box[:, 2]) + 0.2
     keep = np.linalg.norm(box - src.y, axis=1) > 0.2
     keep &= np.linalg.norm(box - src.y * MIRROR, axis=1) > 0.2
-    rep = check_reflection_principle(src, GROUND_PLANE, box[keep])
+    rep = check_reflection_principle(src, box[keep])
     res_rel = max(rep.max_E_residual, rep.max_H_residual) / rep.field_scale
     results.append(at_most("reflection_principle", res_rel, TOLERANCES.reflection,
                            "E and H reflection residuals <= {:g} relative"))
 
     def total_EH(q):
-        tot = eval_total_field(src, GROUND_PLANE, q)
+        tot = eval_total_field(src, q)
         return np.array([tot.E, tot.H])
 
     worst_fd = worst_div = 0.0
@@ -286,7 +286,7 @@ def run_maxwell(scene):
     results.append(at_most("divergence_fd_residual", worst_div, TOLERANCES.maxwell_fd,
                            "divergence FD residual <= {:g}"))
 
-    sm = check_silver_muller(src, GROUND_PLANE, np.array([0.0, 0.0, 1.0]))
+    sm = check_silver_muller(src, np.array([0.0, 0.0, 1.0]))
     results.append(at_most("silver_muller_slope", sm.slope_residual,
                            -1.0 + TOLERANCES.sm_slope_margin,
                            "|H x x - r E| log-log slope <= {:g}"))

@@ -7,12 +7,9 @@ import halfscat.geometry as geometry_mod
 from halfscat import artifacts
 from halfscat.errors import DippingProfileError, SceneConfigError
 from halfscat.geometry import (
-    GROUND_PLANE,
-    Plane,
     SurfaceProfile,
     build_profile,
     mesh_perturbation,
-    mirror,
     ring_count,
 )
 
@@ -244,56 +241,3 @@ class TestMesh:
         assert header[:2] == ["panel_id", "v1x"] and header[-1] == "nz"
         assert len(lines) == 2 + mesh.n_panels
 
-
-class TestMirror:
-    def test_ground_plane_example(self):
-        assert np.array_equal(mirror(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, -3.0])
-
-    def test_involution_and_fixed_points(self):
-        rng = np.random.default_rng(11)
-        plane = Plane(point=(0.3, -0.2, 0.5), normal=(1.0, 2.0, -0.5))
-        for _ in range(25):
-            x = rng.normal(size=3) * 3
-            assert np.allclose(mirror(mirror(x, plane), plane), x, atol=1e-13)
-        # a point on the plane maps to itself
-        t = plane.point + np.array([2.0, -1.0, 0.0]) - (
-            (np.array([2.0, -1.0, 0.0]) @ plane.normal) * plane.normal
-        )
-        assert np.allclose(mirror(t, plane), t, atol=1e-13)
-
-    def test_isometry(self):
-        rng = np.random.default_rng(12)
-        plane = Plane(point=(0.0, 0.1, -0.4), normal=(0.3, -1.0, 2.0))
-        for _ in range(100):
-            x, y = rng.normal(size=(2, 3)) * 5
-            d0 = np.linalg.norm(x - y)
-            d1 = np.linalg.norm(mirror(x, plane) - mirror(y, plane))
-            assert abs(d0 - d1) <= 1e-13 * max(1.0, d0)
-
-    def test_vectorized(self):
-        pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-1.0, 0.5, -2.0]])
-        out = mirror(pts)
-        assert np.array_equal(out, pts * np.array([1.0, 1.0, -1.0]))
-
-
-class TestPlane:
-    def test_normal_normalized(self):
-        plane = Plane(point=(0, 0, 0), normal=(0, 0, 5.0))
-        assert abs(np.linalg.norm(plane.normal) - 1.0) <= 1e-14
-
-    def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError):
-            Plane(point=(0, 0, 0), normal=(0, 0, 0))
-
-    def test_from_graph_coeffs(self):
-        # facet x3 = A x1 + B x2 + C has upward normal (-A, -B, 1)/sqrt(A^2+B^2+1)
-        A, B, C = 0.5, -0.3, 0.2
-        plane = Plane.from_graph_coeffs(A, B, C)
-        h = np.sqrt(A**2 + B**2 + 1.0)
-        assert np.allclose(plane.normal, np.array([-A, -B, 1.0]) / h, atol=1e-15)
-        for x1, x2 in ((0.0, 0.0), (1.3, -0.7)):
-            x = np.array([x1, x2, A * x1 + B * x2 + C])
-            assert abs((x - plane.point) @ plane.normal) <= 1e-14
-
-    def test_ground_plane_constant(self):
-        assert np.array_equal(GROUND_PLANE.normal, [0.0, 0.0, 1.0])

@@ -4,7 +4,6 @@ import pytest
 import halfscat.maxwell as maxwell_mod
 import halfscat.suites as suites_mod
 from halfscat.errors import SingularityError
-from halfscat.geometry import GROUND_PLANE, Plane, mirror
 from halfscat.kernels import free_space
 from halfscat.maxwell import (
     DipoleSource,
@@ -105,32 +104,30 @@ class TestImageField:
         ang = rng.uniform(0, 2 * np.pi, 200)
         rad = 3 * np.sqrt(rng.uniform(0, 1, 200))
         pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), np.zeros(200)])
-        assert pec_residual(SRC, GROUND_PLANE, pts) <= 1e-12
+        assert pec_residual(SRC, pts) <= 1e-12
 
     def test_image_field_satisfies_maxwell(self):
         rng = np.random.default_rng(46)
-        field = _EH(lambda q: eval_image_field(SRC, GROUND_PLANE, q))
+        field = _EH(lambda q: eval_image_field(SRC, q))
         image_point = SRC.y * np.array([1, 1, -1])
         for x in _sample_points(rng, 5, [SRC.y, image_point]):
             r1, r2, _, _ = maxwell_fd_residuals(field, x, SRC.k)
             assert r1 <= 1e-5 and r2 <= 1e-5
 
-    def test_displaced_mirror_plane(self):
-        plane = Plane(point=(0.0, 0.0, 1.0), normal=(0.0, 0.0, 1.0))
-        src = DipoleSource(y=(0.0, 0.0, 1.7), p=(1.0, 0.0, 0.0), k=2.0)
+    def test_pec_residual_sees_off_plane_points(self):
+        # the tangential field vanishes on x3 = 0 only, not at x3 = 0.3
+        src = DipoleSource(y=(0.0, 0.0, 0.7), p=(1.0, 0.0, 0.0), k=2.0)
         rng = np.random.default_rng(47)
         ang = rng.uniform(0, 2 * np.pi, 100)
         rad = 2 * np.sqrt(rng.uniform(0, 1, 100))
-        on_plane = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), np.ones(100)])
-        off_plane = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), np.zeros(100)])
-        assert pec_residual(src, plane, on_plane) <= 1e-12
-        assert pec_residual(src, plane, off_plane) > 1e-2
+        off_plane = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), np.full(100, 0.3)])
+        assert pec_residual(src, off_plane) > 1e-2
 
     def test_field_linearity_in_polarization(self):
         src2 = DipoleSource(y=SRC.y, p=2.0 * SRC.p, k=SRC.k)
         x = np.array([0.7, 0.4, 1.3])
-        s1 = eval_total_field(SRC, GROUND_PLANE, x)
-        s2 = eval_total_field(src2, GROUND_PLANE, x)
+        s1 = eval_total_field(SRC, x)
+        s2 = eval_total_field(src2, x)
         assert np.allclose(s2.E, 2.0 * s1.E, rtol=1e-13)
         assert np.allclose(s2.H, 2.0 * s1.H, rtol=1e-13)
 
@@ -139,17 +136,17 @@ class TestReflectionPrinciple:
     def test_symmetric_pairs_residual(self):
         rng = np.random.default_rng(48)
         samples = np.array(_sample_points(rng, 100, [SRC.y, SRC.y * np.array([1, 1, -1])]))
-        rep = check_reflection_principle(SRC, GROUND_PLANE, samples)
+        rep = check_reflection_principle(SRC, samples)
         assert rep.max_E_residual <= 1e-12 * rep.field_scale
         assert rep.max_H_residual <= 1e-12 * rep.field_scale
         assert rep.n_pairs == 100
 
     def test_singularity_pairing(self):
         # the total field blows up at the dipole point and at its image
-        ref = eval_total_field(SRC, GROUND_PLANE, np.array([0.0, 0.0, 10.0 / SRC.k]))
+        ref = eval_total_field(SRC, np.array([0.0, 0.0, 10.0 / SRC.k]))
         far_scale = np.linalg.norm(ref.E)
         for target in (SRC.y, SRC.y * np.array([1, 1, -1])):
-            near = eval_total_field(SRC, GROUND_PLANE, target + np.array([1e-3, 0, 0]))
+            near = eval_total_field(SRC, target + np.array([1e-3, 0, 0]))
             assert np.linalg.norm(near.E) > 1e6 * far_scale
 
     def test_polarization_orientation_irrelevant(self):
@@ -157,13 +154,13 @@ class TestReflectionPrinciple:
         samples = np.array(_sample_points(rng, 30, [SRC.y, SRC.y * np.array([1, 1, -1])]))
         for p in ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
             src = DipoleSource(y=SRC.y, p=p, k=SRC.k)
-            rep = check_reflection_principle(src, GROUND_PLANE, samples)
+            rep = check_reflection_principle(src, samples)
             assert rep.max_E_residual <= 1e-12 * rep.field_scale
 
     def test_duality_swap(self):
         # (E, H) -> (H, -E) maps one curl equation onto the other
         rng = np.random.default_rng(50)
-        total = _EH(lambda q: eval_total_field(SRC, GROUND_PLANE, q))
+        total = _EH(lambda q: eval_total_field(SRC, q))
 
         def dual(q):
             E, H = total(q)
@@ -176,7 +173,7 @@ class TestReflectionPrinciple:
 
 class TestSilverMuller:
     def test_vertical_ray_slopes(self):
-        rep = check_silver_muller(SRC, GROUND_PLANE, np.array([0.0, 0.0, 1.0]))
+        rep = check_silver_muller(SRC, np.array([0.0, 0.0, 1.0]))
         assert rep.slope_residual <= -0.8
         assert -1.2 <= rep.slope_E <= -0.8
         assert rep.radii[0] == pytest.approx(10.0 / SRC.k)
@@ -189,7 +186,7 @@ class TestSilverMuller:
         xhat = np.array([0.6482544530329389, 0.47082011540113455, 0.5984100459188729])
         slopes = []
         for k in (2.0, 4.0):
-            rep = check_silver_muller(DipoleSource(y=y, p=p, k=k), GROUND_PLANE, xhat)
+            rep = check_silver_muller(DipoleSource(y=y, p=p, k=k), xhat)
             assert rep.slope_residual <= -0.8
             assert -1.2 <= rep.slope_E <= -0.8
             slopes.append((rep.slope_residual, rep.slope_E))
@@ -198,7 +195,7 @@ class TestSilverMuller:
 
     def test_downward_ray_rejected(self):
         with pytest.raises(ValueError):
-            check_silver_muller(SRC, GROUND_PLANE, np.array([0.0, 0.0, -1.0]))
+            check_silver_muller(SRC, np.array([0.0, 0.0, -1.0]))
 
 
 class TestMaxwellSuite:
