@@ -4,13 +4,16 @@ A CSV table is one ``# ...scene=<hash>`` comment line ending in ``\\n``, then
 the header and one row per entry of its equal-length columns, each ending in
 ``\\r\\n``.  Integer columns print as integers, text columns as they are and
 every other column with ``%.17g``.  A JSON record holds the scene hash as a
-key.  This module is the only one that opens a file for writing.
+key.  This module is the only one that opens a file for writing, and it
+makes a file's directory only then, so a run that fails before its first
+artifact leaves no output directory.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -19,11 +22,17 @@ from .inverse import IndicatorMap, InversionReport
 from .solver import DirectionGrid, LayerDensity
 
 
+def _open(path, newline=None):
+    """``path`` opened for writing as UTF-8, its directory made first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline=newline, encoding="utf-8")
+
+
 def _write_table(path, comment: str, header: list[str], columns) -> None:
     columns = [np.asarray(c) for c in columns]
     row = ",".join(_row_format(c) for c in columns)
     values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open(path, newline="") as fh:
         fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\r\n")
         fh.write((row + "\r\n") * len(columns[0]) % values)
@@ -84,12 +93,12 @@ def write_inversion_trace(report: InversionReport, path, scene_hash: str) -> Non
 
 def write_json(payload: dict, path, scene_hash: str) -> None:
     """One JSON object, the scene hash its first key."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path) as fh:
         json.dump({"scene_hash": scene_hash, **payload}, fh, indent=2)
 
 
 def write_jsonl(records, path, scene_hash: str) -> None:
     """One JSON object per line, the scene hash the last key of each."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path) as fh:
         for record in records:
             fh.write(json.dumps({**record, "scene_hash": scene_hash}) + "\n")

@@ -124,12 +124,10 @@ def _run(args) -> int:
 
     t0 = time.perf_counter()
     try:
-        # the dry run's refusals come before the run writes anything
         system = _largest_system(args.subcommand, scene)
         if args.dry_run:
             _print_plan(args, scene, system)
             return 0
-        args.out.mkdir(parents=True, exist_ok=True)
         ok = _dispatch(args.subcommand, scene, args.out)
     except SceneConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
@@ -213,10 +211,11 @@ def _dispatch(subcommand: str, scene, out_dir: Path) -> bool:
 
 
 def _run_forward(scene, out_dir: Path) -> bool:
-    artifacts.write_mesh(scene.mesh, out_dir / "mesh.csv", scene.scene_hash)
     solves = [solve_scattered(scene.mesh, inc) for inc in scene.incidents]
     densities = [density for density, _ in solves]
-    artifacts.write_farfields(densities, scene.grid, eval_farfields(densities, scene.grid),
+    farfields = eval_farfields(densities, scene.grid)
+    artifacts.write_mesh(scene.mesh, out_dir / "mesh.csv", scene.scene_hash)
+    artifacts.write_farfields(densities, scene.grid, farfields,
                               [out_dir / f"farfield_{i:03d}.csv" for i in range(len(solves))],
                               scene.scene_hash)
     report_payload = []

@@ -417,8 +417,10 @@ class TestCli:
         assert float(match[1]) < need and float(match[1]) <= budget
 
     def test_out_of_memory_exits_2(self, tmp_path):
-        """A system that does not fit is refused before it is allocated."""
+        """A system that does not fit is refused before it is allocated, and
+        before the run writes its first artifact."""
         self._assert_refused(self._run_h2_forward(tmp_path), 3456)
+        assert not (tmp_path / "out").exists()
 
     # too little for the first system and OpenBLAS's 32 MiB work buffer:
     # unless refused, the canonical identities run exits 1, at 8 MiB with a
@@ -428,6 +430,7 @@ class TestCli:
     def test_refused_before_the_first_lu(self, tmp_path, mib):
         config = write_config(tmp_path, canonical_config())
         self._assert_refused(self._run_under_rlimit(tmp_path, mib, "identities", config), 864)
+        assert not (tmp_path / "out").exists()
 
     def test_memory_budget_takes_the_smallest_bound(self, monkeypatch):
         monkeypatch.setattr(util_mod, "_cgroup_headroom_bytes", lambda: 3 * 2**20)
