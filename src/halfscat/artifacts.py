@@ -5,8 +5,8 @@ the header and one row per entry of its equal-length columns, each ending in
 ``\\r\\n``.  Integer columns print as integers, text columns as they are and
 every other column with ``%.17g``.  A JSON record holds the scene hash as a
 key.  This module is the only one that opens a file for writing, and it
-makes a file's directory only then, so a run that fails before its first
-artifact leaves no output directory.
+makes a file's directory when it opens the file, so a run that fails before
+its first artifact leaves no output directory.
 """
 
 from __future__ import annotations
