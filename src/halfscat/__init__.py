@@ -11,10 +11,8 @@ from .incident import (
     IncidentWave,
     PlaneWave,
     PointSource,
-    eval_plane_pair,
-    eval_point_pair,
-    grad_plane_pair,
-    grad_point_pair,
+    eval_pair,
+    grad_pair,
 )
 from .kernels import (
     BoundaryCondition,
@@ -53,16 +51,14 @@ __all__ = [
     "eval_farfield",
     "eval_farfields",
     "eval_G",
-    "eval_plane_pair",
-    "eval_point_pair",
+    "eval_pair",
     "eval_scattered",
     "farfield_kernel",
     "farfield_kernel_grad_y",
     "farfield_matrix",
     "grad_G_x",
     "grad_G_y",
-    "grad_plane_pair",
-    "grad_point_pair",
+    "grad_pair",
     "mesh_perturbation",
     "solve_scattered",
     "__version__",

@@ -75,43 +75,26 @@ class PointSource:
 IncidentWave = PlaneWave | PointSource
 
 
-def eval_plane_pair(w: PlaneWave, x: np.ndarray) -> np.ndarray:
-    """Incident plus reflected plane wave at x:
-    e^{ik(a x1 + b x2)} (e^{-ik g x3} -/+ e^{ik g x3})."""
+def eval_pair(w: IncidentWave, x: np.ndarray) -> np.ndarray:
+    """The wave plus its image at x.  A plane wave pairs with its Snell
+    reflection, e^{ik(a x1 + b x2)} (e^{-ik g x3} -/+ e^{ik g x3}); a point
+    source with its image source, the image kernel G(x, z) = Phi(x,z) -/+
+    Phi(x,z')."""
+    if isinstance(w, PointSource):
+        return eval_G(GreenKernel(k=w.k, bc=w.bc), x, w.z)
     x = np.asarray(x, dtype=float)
     s = w.bc.image_sign
     return unit_phase(w.k * (x @ w.d)) + s * unit_phase(w.k * (x @ w.d_spec))
 
 
-def grad_plane_pair(w: PlaneWave, x: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the plane-wave pair; its normal component on a
-    tilted facet is ik e^{ik(a x1 + b x2)} [e^{-ik g x3}(d.nu) -/+
-    e^{ik g x3}(d'.nu)]."""
+def grad_pair(w: IncidentWave, x: np.ndarray) -> np.ndarray:
+    """Analytic x-gradient of ``eval_pair``.  The plane-wave pair's normal
+    component on a tilted facet is ik e^{ik(a x1 + b x2)} [e^{-ik g x3}(d.nu)
+    -/+ e^{ik g x3}(d'.nu)]."""
+    if isinstance(w, PointSource):
+        return grad_G_x(GreenKernel(k=w.k, bc=w.bc), x, w.z)
     x = np.asarray(x, dtype=float)
     s = w.bc.image_sign
     inc = (1j * w.k) * unit_phase(w.k * (x @ w.d))
     ref = (1j * w.k) * s * unit_phase(w.k * (x @ w.d_spec))
     return inc[..., None] * w.d + ref[..., None] * w.d_spec
-
-
-def eval_point_pair(w: PointSource, x: np.ndarray) -> np.ndarray:
-    """Point source plus image source: the image kernel G(x, z) = Phi(x,z) -/+ Phi(x,z')."""
-    return eval_G(GreenKernel(k=w.k, bc=w.bc), x, w.z)
-
-
-def grad_point_pair(w: PointSource, x: np.ndarray) -> np.ndarray:
-    """Analytic x-gradient of the point-source pair."""
-    return grad_G_x(GreenKernel(k=w.k, bc=w.bc), x, w.z)
-
-
-def eval_pair(w: IncidentWave, x: np.ndarray) -> np.ndarray:
-    """Dispatch on the wave variant."""
-    if isinstance(w, PlaneWave):
-        return eval_plane_pair(w, x)
-    return eval_point_pair(w, x)
-
-
-def grad_pair(w: IncidentWave, x: np.ndarray) -> np.ndarray:
-    if isinstance(w, PlaneWave):
-        return grad_plane_pair(w, x)
-    return grad_point_pair(w, x)
