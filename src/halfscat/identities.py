@@ -157,37 +157,30 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def check_radiation_decay(density: LayerDensity, xhat: np.ndarray) -> SlopeReport:
-    """Sommerfeld-residual decay of the solved field along a ray: least-squares
-    log-log slope over DECAY_RADII radii in [10R, 100R]; the far-field
-    expansion forces an exponent of -2."""
-    R = density.mesh.support_radius
+def _decay_fit(name: str, field, k: float, xhat: np.ndarray, R: float) -> SlopeReport:
+    """Least-squares log-log slope of the Sommerfeld residuals of ``field``
+    along a ray, over DECAY_RADII radii in [10R, 100R]; vacuous, with slope
+    0, when every residual is zero."""
     radii = np.geomspace(10 * R, 100 * R, DECAY_RADII)
-    resid = radiation_residuals(lambda pts: eval_scattered(density, pts), density.k, xhat, radii)
+    resid = radiation_residuals(field, k, xhat, radii)
     vacuous = bool(np.all(resid == 0.0))
-    return SlopeReport(
-        name="radiation_decay",
-        slope=0.0 if vacuous else fit_loglog_slope(radii, resid),
-        radii=radii,
-        residuals=resid,
-        vacuous=vacuous,
-    )
+    slope = 0.0 if vacuous else fit_loglog_slope(radii, resid)
+    return SlopeReport(name=name, slope=slope, radii=radii, residuals=resid, vacuous=vacuous)
+
+
+def check_radiation_decay(density: LayerDensity, xhat: np.ndarray) -> SlopeReport:
+    """Sommerfeld-residual decay of the solved field along a ray, R the
+    support radius; the far-field expansion forces an exponent of -2."""
+    return _decay_fit("radiation_decay", lambda pts: eval_scattered(density, pts), density.k,
+                      xhat, density.mesh.support_radius)
 
 
 def check_kernel_radiation_decay(
     k: float, bc: BoundaryCondition, y: np.ndarray, xhat: np.ndarray
 ) -> SlopeReport:
-    """Same decay fit for the bare image kernel with a fixed source point."""
+    """Same decay fit for the bare image kernel with a fixed source point, R = 1."""
     kern = GreenKernel(k=k, bc=bc)
-    radii = np.geomspace(10.0, 100.0, DECAY_RADII)
-    resid = radiation_residuals(lambda pts: eval_G(kern, pts, y), k, xhat, radii)
-    return SlopeReport(
-        name="kernel_radiation_decay",
-        slope=fit_loglog_slope(radii, resid),
-        radii=radii,
-        residuals=resid,
-        vacuous=False,
-    )
+    return _decay_fit("kernel_radiation_decay", lambda pts: eval_G(kern, pts, y), k, xhat, 1.0)
 
 
 def _plane_wave_from_direction(d: np.ndarray, k: float, bc: BoundaryCondition) -> PlaneWave:

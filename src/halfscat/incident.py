@@ -52,9 +52,16 @@ class PlaneWave:
         object.__setattr__(self, "d_spec", d_spec)
 
 
+# The kernels form 4 pi r^3 sec^2(kr/2) (``kernels._radial``).  No double
+# lies within 4.7e-19 of a multiple of pi/2, so sec^2 < 4.6e36, and the
+# product stays below the float maximum 1.8e308 while r < 1.4e90: a source
+# within 1e80 of the origin leaves that for evaluation points out to 1e89.
+MAX_SOURCE_DISTANCE = 1e80
+
+
 @dataclass(frozen=True)
 class PointSource:
-    """Monopole source at a point strictly above the ground plane."""
+    """Monopole source above the ground plane, within MAX_SOURCE_DISTANCE."""
 
     z: np.ndarray
     k: float
@@ -70,6 +77,9 @@ class PointSource:
             raise ValueError(f"point source must have finite coordinates, got {z.tolist()}")
         if not z[2] > 0:
             raise ValueError(f"point source must lie above the ground plane, got z3={z[2]!r}")
+        if not math.hypot(*z) <= MAX_SOURCE_DISTANCE:
+            raise ValueError(f"point source must lie within {MAX_SOURCE_DISTANCE:g} of the "
+                             f"origin, got |z|={math.hypot(*z):g}")
 
 
 IncidentWave = PlaneWave | PointSource

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
 import yaml
 
 from .errors import SceneConfigError
@@ -171,10 +170,14 @@ def _build_incident(spec: dict, k: float, bc: BoundaryCondition, profile: Surfac
             return PlaneWave(phi=spec["phi"], theta=spec["theta"], k=k, bc=bc)
         except ValueError as exc:
             raise SceneConfigError(where, str(exc)) from exc
-    z = np.asarray(spec["z"], dtype=float)
-    if z[2] <= float(profile.height(z[:2])):
+    # before the height, which overflows as the kernels do for a far point
+    try:
+        source = PointSource(z=spec["z"], k=k, bc=bc)
+    except ValueError as exc:
+        raise SceneConfigError(f"{where}.z", str(exc)) from exc
+    if source.z[2] <= float(profile.height(source.z[:2])):
         raise SceneConfigError(f"{where}.z", "point source must lie above the surface")
-    return PointSource(z=z, k=k, bc=bc)
+    return source
 
 
 def build_scene(cfg: SceneConfig) -> Scene:

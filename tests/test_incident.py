@@ -45,6 +45,10 @@ class TestPlaneWaveConstruction:
         for z in [(np.nan, 0.0, 1.0), (0.0, -np.inf, 1.0), (0.0, 0.0, np.nan), (0.0, 0.0, np.inf)]:
             with pytest.raises(ValueError, match="finite coordinates"):
                 PointSource(z=z, k=2.0, bc=D)
+        PointSource(z=(0.0, 0.0, 1e80), k=2.0, bc=D)
+        for z in [(0.0, 0.0, 2e80), (1e80, 1e80, 1.0), (1.7e308, 0.0, 1.7e308)]:
+            with pytest.raises(ValueError, match="within 1e\\+80 of the origin"):
+                PointSource(z=z, k=2.0, bc=D)
 
 
 class TestPlanePair:

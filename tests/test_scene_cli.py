@@ -561,6 +561,27 @@ class TestCli:
         assert capsys.readouterr().err == err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("z3", [1e150, 1e200])
+    def test_far_point_source_refused(self, tmp_path, capsys, z3):
+        """A source too far away for the kernels' arithmetic, which overflowed
+        in the solve, is refused by its config path before any solve, in the
+        dry run as in the run, which writes nothing."""
+        path = write_config(tmp_path, canonical_config(
+            mesh={"target_h": 0.25}, incident={"type": "point", "z": [0.0, 0.0, z3]}))
+        assert main(["forward", "--config", path, "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: invalid scene: incidents[0].z: point source must lie within "
+                       f"1e+80 of the origin, got |z|={z3:g}\n")
+        assert main(["forward", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "o").exists()
+
+    def test_distant_point_source_solves(self, tmp_path, capsys):
+        path = write_config(tmp_path, canonical_config(
+            mesh={"target_h": 0.25}, incident={"type": "point", "z": [0.0, 0.0, 1e6]}))
+        assert main(["forward", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
     def test_forward_multiple_incidents(self, tmp_path, capsys, monkeypatch):
         cfg = canonical_config(mesh={"target_h": 0.18})
         cfg["incidents"] = [
