@@ -170,7 +170,7 @@ def _build_incident(spec: dict, k: float, bc: BoundaryCondition, profile: Surfac
             return PlaneWave(phi=spec["phi"], theta=spec["theta"], k=k, bc=bc)
         except ValueError as exc:
             raise SceneConfigError(where, str(exc)) from exc
-    # before the height, which overflows as the kernels do for a far point
+    # the source checks its own distance first: the height of a far point overflows
     try:
         source = PointSource(z=spec["z"], k=k, bc=bc)
     except ValueError as exc:
